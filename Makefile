@@ -42,7 +42,8 @@ smoke-obs:
 smoke-faults:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
 		tests/sim/test_faults.py tests/analysis/test_fault_study.py \
-		tests/core/test_iterative_edges.py
+		tests/core/test_iterative_edges.py tests/sim/test_total_outage.py \
+		tests/sim/test_executor_identity.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro simulate --faults \
 		--tasks 20 --machines 4 --failures 3 --recovery remap
 
@@ -92,7 +93,8 @@ smoke-timeline:
 # tasks_scheduled_per_s metric in the run ledger (see docs/rolling.md).
 smoke-rolling:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py
+		tests/sim/test_rolling.py tests/sim/test_dynamic_batch.py \
+		tests/sim/test_executor_identity.py
 	rm -rf .smoke-rolling
 	mkdir -p .smoke-rolling
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro run-rolling \

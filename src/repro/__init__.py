@@ -49,7 +49,7 @@ from repro.heuristics import (
     heuristic_names,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import bisect
 import time
-from collections.abc import Iterator, Mapping as MappingABC
+from collections.abc import Iterator, Sequence
+from collections.abc import Mapping as MappingABC
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "Timers",
     "HistogramStat",
     "Histograms",
+    "nearest_rank",
     "Gauges",
     "DEFAULT_BUCKETS",
     "TIME_BUCKETS",
@@ -191,6 +193,16 @@ class Timers:
 
     def __repr__(self) -> str:
         return f"Timers({self.as_dict()!r})"
+
+
+def nearest_rank(sorted_samples: Sequence[float], q: float) -> float:
+    """Exact ``q``-quantile of raw ``sorted_samples`` by nearest rank:
+    the sample at index ``min(n - 1, int(q * n))``, or ``0.0`` when
+    there are none.  :meth:`HistogramStat.quantile` instead estimates
+    a quantile from bucket counts."""
+    if not sorted_samples:
+        return 0.0
+    return sorted_samples[min(len(sorted_samples) - 1, int(q * len(sorted_samples)))]
 
 
 @dataclass(frozen=True)

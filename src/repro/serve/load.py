@@ -24,6 +24,7 @@ from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
 from repro.exceptions import ConfigurationError
+from repro.obs.metrics import nearest_rank
 
 __all__ = [
     "LOAD_SCHEMA",
@@ -61,13 +62,6 @@ def get_json(url: str, *, timeout: float = 30.0):
             return response.status, json.loads(response.read().decode("utf-8"))
     except HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
-
-
-def _percentile(sorted_samples: list[float], q: float) -> float:
-    if not sorted_samples:
-        return 0.0
-    index = min(len(sorted_samples) - 1, int(q * len(sorted_samples)))
-    return sorted_samples[index]
 
 
 def run_load(
@@ -152,8 +146,8 @@ def run_load(
         "wall_s": round(wall_s, 6),
         "requests_per_s": round(requests / wall_s, 3) if wall_s else 0.0,
         "latency_ms": {
-            "p50": round(_percentile(window, 0.50), 3),
-            "p95": round(_percentile(window, 0.95), 3),
+            "p50": round(nearest_rank(window, 0.50), 3),
+            "p95": round(nearest_rank(window, 0.95), 3),
             "max": round(max(window), 3) if window else 0.0,
             "mean": round(sum(window) / len(window), 3) if window else 0.0,
         },

@@ -45,6 +45,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.exceptions import ConfigurationError, ReproError
+from repro.obs.metrics import nearest_rank
 from repro.serve.cache import DEFAULT_RESPONSE_CACHE_DIR, ResponseCache
 from repro.serve.models import (
     RESPONSE_SCHEMA,
@@ -205,13 +206,6 @@ def execute_request(request: ScheduleRequest) -> dict:
     which is what makes the response cache sound.
     """
     return _EXECUTORS[request.kind](request)
-
-
-def _percentile(sorted_samples: list[float], q: float) -> float:
-    if not sorted_samples:
-        return 0.0
-    index = min(len(sorted_samples) - 1, int(q * len(sorted_samples)))
-    return sorted_samples[index]
 
 
 class SchedulingService:
@@ -387,8 +381,8 @@ class SchedulingService:
             "by_kind": dict(self.by_kind),
             "latency_ms": {
                 "count": len(window),
-                "p50": round(_percentile(window, 0.50), 3),
-                "p95": round(_percentile(window, 0.95), 3),
+                "p50": round(nearest_rank(window, 0.50), 3),
+                "p95": round(nearest_rank(window, 0.95), 3),
                 "max": round(max(window), 3) if window else 0.0,
             },
         }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -74,5 +73,3 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-
-Handler = Callable[[Event], None]

@@ -1,6 +1,7 @@
 """Simulated heterogeneous computing suite.
 
-Two operating modes, both built on the generic engine:
+Three drivers over the shared machine-queue executor
+(:mod:`repro.sim.executor`):
 
 * **static** (:class:`HCSystem`) — execute a complete, precomputed
   mapping: each machine runs its tasks one at a time in assignment
@@ -17,17 +18,13 @@ Two operating modes, both built on the generic engine:
 
 * **faulty** (:class:`FaultTolerantHCSystem`) — execute a static
   mapping while a seeded :class:`~repro.sim.faults.FaultPlan` injects
-  machine failures, recoveries and slowdowns.  Interrupted tasks are
-  recovered with bounded exponential backoff under a per-task retry
-  budget, either back onto their mapped machine (``requeue``) or onto
-  the machine with the earliest expected completion among the live ones
-  (``remap`` — the MCT re-mapping rule).  See docs/robustness.md.
+  machine failures, recoveries and slowdowns (docs/robustness.md).
+
+The static case is the faulty one with no faults.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import deque
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,11 +38,20 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.heuristics.base import Heuristic
 from repro.heuristics.kpb import kpb_subset_size
 from repro.heuristics.swa import balance_index
-from repro.obs.tracer import get_tracer
-from repro.sim.arrivals import ArrivalProcess, BurstyArrivals, TraceArrivals
-from repro.sim.engine import Simulator
+from repro.sim.arrivals import (
+    ArrivalProcess,
+    BurstyArrivals,
+    PoissonArrivals,
+    TraceArrivals,
+)
+from repro.sim.executor import (
+    RECOVERY_POLICIES,
+    QueueExecutor,
+    Recovery,
+    check_plan_machines,
+)
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import ExecutionTrace, TaskExecution
+from repro.sim.trace import ExecutionTrace
 
 __all__ = [
     "HCSystem",
@@ -70,6 +76,28 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Static execution
 # ----------------------------------------------------------------------
+def _execute_mapping(
+    etc: ETCMatrix,
+    mapping: Mapping,
+    initial_ready: np.ndarray,
+    plan: FaultPlan | None = None,
+    recovery: Recovery | None = None,
+) -> QueueExecutor:
+    """Run a static ``mapping`` to completion (under ``plan``, if any)."""
+    if mapping.etc is not etc and mapping.etc != etc:
+        raise SimulationError("mapping was built for a different ETC matrix")
+    executor = QueueExecutor(
+        etc.machines, etc.tasks.__getitem__, mapping.num_assigned,
+        plan=plan, recovery=recovery, trace=ExecutionTrace(etc.machines),
+    )
+    executor.rows.update(enumerate(etc.values.tolist()))
+    for j, machine in enumerate(etc.machines):
+        executor.queues[j].extend(map(etc.task_index, mapping.machine_tasks(machine)))
+        executor.sim.schedule_at(float(initial_ready[j]), "machine-ready", j)
+    executor.run()
+    return executor
+
+
 class HCSystem:
     """Executes a complete static mapping and measures the timeline."""
 
@@ -83,44 +111,7 @@ class HCSystem:
 
     def execute(self, mapping: Mapping) -> ExecutionTrace:
         """Run ``mapping`` to completion; returns the measured trace."""
-        if mapping.etc is not self.etc and mapping.etc != self.etc:
-            raise SimulationError("mapping was built for a different ETC matrix")
-        sim = Simulator()
-        trace = ExecutionTrace(self.etc.machines)
-        queues: dict[str, deque[str]] = {
-            m: deque(mapping.machine_tasks(m)) for m in self.etc.machines
-        }
-
-        def start_next(machine: str) -> None:
-            queue = queues[machine]
-            if not queue:
-                return
-            task = queue.popleft()
-            duration = self.etc.etc(task, machine)
-            start = sim.now
-            sim.schedule(duration, "task-finish", payload=(task, machine, start))
-
-        def on_machine_ready(event) -> None:
-            start_next(event.payload)
-
-        def on_task_finish(event) -> None:
-            task, machine, start = event.payload
-            trace.add(
-                TaskExecution(task=task, machine=machine, start=start, finish=sim.now)
-            )
-            start_next(machine)
-
-        sim.on("machine-ready", on_machine_ready)
-        sim.on("task-finish", on_task_finish)
-        for j, machine in enumerate(self.etc.machines):
-            sim.schedule_at(float(self._initial_ready[j]), "machine-ready", machine)
-        sim.run()
-        if len(trace) != mapping.num_assigned:
-            raise SimulationError(
-                f"executed {len(trace)} tasks but the mapping holds "
-                f"{mapping.num_assigned}"
-            )
-        return trace
+        return _execute_mapping(self.etc, mapping, self._initial_ready).trace
 
     def measured_finish_times(self, mapping: Mapping) -> dict[str, float]:
         """Per-machine measured finishing times (idle machines keep
@@ -133,10 +124,6 @@ class HCSystem:
 # ----------------------------------------------------------------------
 # Fault-tolerant execution
 # ----------------------------------------------------------------------
-#: Recovery policies for tasks interrupted by a machine failure.
-RECOVERY_POLICIES = ("requeue", "remap")
-
-
 @dataclass(frozen=True)
 class FaultyExecution:
     """Outcome of one fault-injected run of a static mapping.
@@ -173,30 +160,16 @@ class FaultyExecution:
 class FaultTolerantHCSystem:
     """Executes a static mapping under an injected :class:`FaultPlan`.
 
-    Failure semantics: when a machine fails, the task it is running is
-    aborted (all partial progress lost) and its queued tasks stall until
-    the machine recovers.  The aborted task re-enters service through
-    bounded exponential backoff — attempt ``a`` waits
-    ``min(backoff_base * 2**(a-1), backoff_cap)`` — until its per-task
-    ``retry_budget`` is exhausted, after which it is dropped (and
-    reported, never silently lost).  Where the retried task lands is the
-    ``policy``:
-
-    * ``"requeue"`` — back at the *head* of its mapped machine's queue,
-      so it resumes first once the machine recovers;
-    * ``"remap"`` — onto the live machine with the earliest expected
-      completion time (the MCT rule, recomputed from actual queue
-      state); queued tasks of the failed machine are re-mapped
-      immediately, without backoff, since they themselves never failed.
-
-    Slowdown events multiply the ETC of tasks *started* while the
-    machine is degraded; a running task's duration is fixed at start.
-
-    Runs are deterministic: the plan is data, the engine is
-    deterministic, and remap ties break to the lowest machine index.
-    Fault counters (``sim.failures``, ``sim.retries``, ...) and the
-    ``sim.requeue_latency`` histogram flow through the current
-    :mod:`repro.obs` tracer.
+    A failure aborts the running task, which is retried with bounded
+    exponential backoff until its ``retry_budget`` runs out and is then
+    dropped (reported, never lost); slowdowns stretch tasks *started*
+    on the degraded machine.  ``policy`` ``"requeue"`` puts the victim
+    back at the head of its machine's queue; ``"remap"`` moves it, and
+    the failed machine's queued tasks, onto the live machine with the
+    earliest expected completion (the MCT rule, lowest index on ties).
+    See docs/robustness.md#failure-semantics.  Fault counters and the
+    ``sim.requeue_latency`` histogram flow through the :mod:`repro.obs`
+    tracer.
     """
 
     def __init__(
@@ -209,277 +182,33 @@ class FaultTolerantHCSystem:
         backoff_cap: float | None = None,
         initial_ready: MappingABC[str, float] | Sequence[float] | None = None,
     ) -> None:
-        if policy not in RECOVERY_POLICIES:
-            raise ConfigurationError(
-                f"unknown recovery policy {policy!r}; choose from {RECOVERY_POLICIES}"
-            )
-        if retry_budget < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
-        if backoff_base <= 0:
-            raise ConfigurationError(
-                f"backoff_base must be positive, got {backoff_base}"
-            )
-        if backoff_cap is None:
-            backoff_cap = 32.0 * backoff_base
-        if backoff_cap < backoff_base:
-            raise ConfigurationError(
-                f"backoff_cap {backoff_cap} must be >= backoff_base {backoff_base}"
-            )
-        if set(plan.machines) != set(etc.machines):
-            raise ConfigurationError(
-                "fault plan machine set does not match the ETC matrix"
-            )
+        self._recovery = Recovery(policy, retry_budget, backoff_base, backoff_cap)
+        check_plan_machines(plan, etc.machines)
         self.etc = etc
         self.plan = plan
         self.policy = policy
-        self.retry_budget = int(retry_budget)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self._initial_ready = ready_time_vector(etc, initial_ready)
 
-    # ------------------------------------------------------------------
     def backoff_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based): bounded doubling."""
-        return min(self.backoff_base * 2.0 ** (attempt - 1), self.backoff_cap)
+        return self._recovery.delay(attempt)
 
     def execute(self, mapping: Mapping) -> FaultyExecution:
         """Run ``mapping`` to completion under the fault plan."""
-        if mapping.etc is not self.etc and mapping.etc != self.etc:
-            raise SimulationError("mapping was built for a different ETC matrix")
-        etc = self.etc
-        tracer = get_tracer()
-        sim = Simulator()
-        trace = ExecutionTrace(etc.machines)
-        queues: dict[str, deque[str]] = {
-            m: deque(mapping.machine_tasks(m)) for m in etc.machines
-        }
-        up: dict[str, bool] = dict.fromkeys(etc.machines, True)
-        factor: dict[str, float] = dict.fromkeys(etc.machines, 1.0)
-        epoch: dict[str, int] = dict.fromkeys(etc.machines, 0)
-        #: (task, start, expected finish) of the task each machine runs.
-        current: dict[str, tuple[str, float, float] | None] = dict.fromkeys(
-            etc.machines
+        run = _execute_mapping(
+            self.etc, mapping, self._initial_ready, self.plan, self._recovery
         )
-        mapped_machine = {a.task: a.machine for a in mapping.assignments}
-        #: Sorted recovery times from the plan, so an all-machines-down
-        #: retry can jump straight to the next known recovery instead of
-        #: polling every backoff_base (which exhausts max_events across
-        #: a long outage).
-        recovery_times = sorted(
-            event.time for event in self.plan.events if event.kind == "recover"
-        )
-        attempts: dict[str, int] = {}
-        last_failure: dict[str, float] = {}
-        stats = {
-            "failures": 0, "recoveries": 0, "slowdowns": 0,
-            "aborted": 0, "retries": 0, "requeues": 0,
-        }
-        dropped: list[str] = []
-
-        def try_start(machine: str) -> None:
-            if not up[machine] or current[machine] is not None:
-                return
-            queue = queues[machine]
-            if not queue:
-                return
-            task = queue.popleft()
-            start = sim.now
-            duration = etc.etc(task, machine) * factor[machine]
-            current[machine] = (task, start, start + duration)
-            if task in last_failure and tracer.enabled:
-                tracer.observe(
-                    "sim.requeue_latency", start - last_failure[task]
-                )
-            last_failure.pop(task, None)
-            sim.schedule(
-                duration, "task-finish", payload=(task, machine, start, epoch[machine])
-            )
-
-        def expected_completion(task: str, machine: str) -> float:
-            """Expected completion of ``task`` appended to ``machine``
-            now, from the machine's actual run/queue state."""
-            load = sim.now
-            run = current[machine]
-            if run is not None:
-                load = max(load, run[2])
-            for queued in queues[machine]:
-                load += etc.etc(queued, machine) * factor[machine]
-            return load + etc.etc(task, machine) * factor[machine]
-
-        def remap_target(task: str) -> str | None:
-            """Live machine with the earliest expected completion for
-            ``task`` (lowest index on ties); ``None`` if all are down."""
-            best: str | None = None
-            best_completion = np.inf
-            for machine in etc.machines:
-                if not up[machine]:
-                    continue
-                completion = expected_completion(task, machine)
-                if completion < best_completion:
-                    best, best_completion = machine, completion
-            return best
-
-        def enqueue(task: str, machine: str, *, front: bool = False) -> None:
-            stats["requeues"] += 1
-            if tracer.enabled:
-                tracer.count("sim.requeues")
-            if front:
-                queues[machine].appendleft(task)
-            else:
-                queues[machine].append(task)
-            try_start(machine)
-
-        def retry_or_drop(task: str, failed_at: float) -> None:
-            attempts[task] = attempts.get(task, 0) + 1
-            last_failure[task] = failed_at
-            if attempts[task] > self.retry_budget:
-                dropped.append(task)
-                if tracer.enabled:
-                    tracer.count("sim.dropped")
-                    tracer.event("sim.fault.drop", task=task, time=failed_at)
-                return
-            stats["retries"] += 1
-            delay = self.backoff_delay(attempts[task])
-            if tracer.enabled:
-                tracer.count("sim.retries")
-                tracer.event(
-                    "sim.fault.retry", task=task, attempt=attempts[task],
-                    delay=delay,
-                )
-            sim.schedule(delay, "task-retry", payload=task)
-
-        def on_machine_ready(event) -> None:
-            try_start(event.payload)
-
-        def on_task_finish(event) -> None:
-            task, machine, start, start_epoch = event.payload
-            if start_epoch != epoch[machine]:
-                return  # stale: the machine failed after this was scheduled
-            trace.add(
-                TaskExecution(task=task, machine=machine, start=start, finish=sim.now)
-            )
-            current[machine] = None
-            try_start(machine)
-
-        def on_machine_fail(event) -> None:
-            machine = event.payload.machine
-            if not up[machine]:
-                return
-            up[machine] = False
-            epoch[machine] += 1
-            stats["failures"] += 1
-            victim = current[machine]
-            current[machine] = None
-            if tracer.enabled:
-                tracer.count("sim.failures")
-                tracer.event(
-                    "sim.fault.fail", machine=machine, time=sim.now,
-                    running=victim[0] if victim else None,
-                    queued=len(queues[machine]),
-                )
-            if self.policy == "remap" and queues[machine]:
-                # Queued tasks never failed themselves: move them to live
-                # machines right away (they keep their retry budgets).
-                stranded = list(queues[machine])
-                queues[machine].clear()
-                for task in stranded:
-                    target = remap_target(task)
-                    if target is None:
-                        queues[machine].append(task)  # everyone is down; wait
-                    else:
-                        enqueue(task, target)
-            if victim is not None:
-                stats["aborted"] += 1
-                retry_or_drop(victim[0], sim.now)
-
-        def on_machine_recover(event) -> None:
-            machine = event.payload.machine
-            if up[machine]:
-                return
-            up[machine] = True
-            stats["recoveries"] += 1
-            if tracer.enabled:
-                tracer.count("sim.recoveries")
-                tracer.event("sim.fault.recover", machine=machine, time=sim.now)
-            try_start(machine)
-
-        def on_machine_slow(event) -> None:
-            machine = event.payload.machine
-            factor[machine] = event.payload.factor
-            stats["slowdowns"] += 1
-            if tracer.enabled:
-                tracer.count("sim.slowdowns")
-                tracer.event(
-                    "sim.fault.slow", machine=machine, time=sim.now,
-                    factor=event.payload.factor,
-                )
-
-        def on_machine_restore(event) -> None:
-            factor[event.payload.machine] = 1.0
-
-        def on_task_retry(event) -> None:
-            task = event.payload
-            if self.policy == "requeue":
-                enqueue(task, mapped_machine[task], front=True)
-                return
-            target = remap_target(task)
-            if target is None:
-                # Every machine is down.  Jump straight to the next known
-                # recovery in the plan (no budget charge — the task did
-                # not fail again).  Priority 20 puts the retry *after*
-                # the recover event (priority 10) at that same instant,
-                # so the machine is back up when the retry dispatches.
-                index = bisect_right(recovery_times, sim.now)
-                if index < len(recovery_times):
-                    sim.schedule_at(
-                        recovery_times[index], "task-retry",
-                        payload=task, priority=20,
-                    )
-                else:
-                    # No recovery on the books (degenerate plan): fall
-                    # back to the old base-delay poll.
-                    sim.schedule(self.backoff_base, "task-retry", payload=task)
-                return
-            enqueue(task, target)
-
-        sim.on("machine-ready", on_machine_ready)
-        sim.on("task-finish", on_task_finish)
-        sim.on("task-retry", on_task_retry)
-        sim.on("machine-fail", on_machine_fail)
-        sim.on("machine-recover", on_machine_recover)
-        sim.on("machine-slow", on_machine_slow)
-        sim.on("machine-restore", on_machine_restore)
-        for j, machine in enumerate(etc.machines):
-            sim.schedule_at(float(self._initial_ready[j]), "machine-ready", machine)
-        # Faults run at a lower priority than same-instant task finishes:
-        # a task completing exactly when its machine dies still counts.
-        for fault in self.plan.events:
-            sim.schedule_at(
-                fault.time, f"machine-{fault.kind}", payload=fault, priority=10
-            )
-        sim.run(
-            max_events=20 * (mapping.num_assigned + 1) * (self.retry_budget + 2)
-            + 4 * len(self.plan.events)
-            + 10_000
-        )
-        if len(trace) + len(dropped) != mapping.num_assigned:
-            raise SimulationError(
-                f"executed {len(trace)} + dropped {len(dropped)} tasks but the "
-                f"mapping holds {mapping.num_assigned}"
-            )
         return FaultyExecution(
-            trace=trace,
+            trace=run.trace,
             plan=self.plan,
             policy=self.policy,
-            failures=stats["failures"],
-            recoveries=stats["recoveries"],
-            slowdowns=stats["slowdowns"],
-            aborted=stats["aborted"],
-            retries=stats["retries"],
-            requeues=stats["requeues"],
-            dropped=tuple(dropped),
+            failures=run.failures,
+            recoveries=run.recoveries,
+            slowdowns=run.slowdowns,
+            aborted=run.aborted,
+            retries=run.retries,
+            requeues=run.requeues,
+            dropped=tuple(run.dropped),
         )
 
 
@@ -515,11 +244,7 @@ def poisson_workload(
     rng: np.random.Generator | int | None = None,
 ) -> ArrivalWorkload:
     """Poisson arrivals: exponential inter-arrival times with ``rate``."""
-    if rate <= 0:
-        raise ConfigurationError(f"arrival rate must be positive, got {rate}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    gaps = gen.exponential(1.0 / rate, size=etc.num_tasks)
-    return ArrivalWorkload(etc=etc, arrivals=tuple(np.cumsum(gaps).tolist()))
+    return workload_from_process(etc, PoissonArrivals(rate), rng)
 
 
 def workload_from_process(
@@ -689,8 +414,8 @@ class DynamicHCSimulation:
     at the interval boundary ``last_batch + batch_interval`` once a task
     is pending — immediately for the first arrival of a cycle past the
     boundary, on a timer otherwise (Maheswaran et al.'s interval-based
-    batch mode); any tasks still pending once arrivals stop are mapped
-    in a final flush.
+    batch mode).  A batch heuristic that leaves tasks unmapped stalls
+    the run, which raises :class:`~repro.exceptions.SimulationError`.
     """
 
     def __init__(
@@ -720,110 +445,41 @@ class DynamicHCSimulation:
         """Execute the workload; ``progress`` is forwarded to the engine
         (see :meth:`repro.sim.engine.Simulator.run`)."""
         etc = self.workload.etc
-        if self.policy is not None:
-            self.policy.reset()
-        sim = Simulator()
-        trace = ExecutionTrace(etc.machines)
-        queues: dict[str, deque[str]] = {m: deque() for m in etc.machines}
-        busy: dict[str, bool] = dict.fromkeys(etc.machines, False)
-        expected_free = np.zeros(etc.num_machines, dtype=np.float64)
-        pending: list[str] = []  # batch mode: arrived but unassigned
-        remaining = etc.num_tasks
-        last_batch = -np.inf
-        batch_scheduled = False
+        values = etc.values
+        policy = self.policy
+        if policy is not None:
+            policy.reset()
 
-        def try_start(machine: str) -> None:
-            if busy[machine] or not queues[machine]:
-                return
-            task = queues[machine].popleft()
-            busy[machine] = True
-            duration = etc.etc(task, machine)
-            sim.schedule(duration, "task-finish", payload=(task, machine, sim.now))
-
-        def dispatch(task: str, machine_idx: int) -> None:
-            machine = etc.machines[machine_idx]
-            queues[machine].append(task)
-            expected_free[machine_idx] = (
-                max(expected_free[machine_idx], sim.now) + etc.values[
-                    etc.task_index(task), machine_idx
-                ]
-            )
-            try_start(machine)
-
-        def on_arrival(event) -> None:
-            nonlocal batch_scheduled
-            task = event.payload
-            if self.policy is not None:
-                row = etc.task_row(task)
-                machine_idx = self.policy.choose(row, expected_free, sim.now)
-                dispatch(task, int(machine_idx))
-                return
-            pending.append(task)
-            # Mapping events run at a lower priority than arrivals so a
-            # burst of simultaneous arrivals is mapped as one batch.
-            # The event is timer-based: it fires at the interval boundary
-            # ``last_batch + batch_interval`` even if no further arrival
-            # lands by then, so a task arriving just after a mapping
-            # event waits at most one interval, not until the next
-            # arrival (Maheswaran et al.'s interval cadence).
-            if not batch_scheduled:
-                due = max(sim.now, last_batch + self.batch_interval)
-                sim.schedule_at(due, "batch-event", priority=10)
-                batch_scheduled = True
-
-        def on_batch_event(event) -> None:
-            nonlocal batch_scheduled, last_batch
-            batch_scheduled = False
-            last_batch = sim.now
-            run_batch()
-
-        def run_batch() -> None:
-            if not pending:
-                return
-            sub = etc.submatrix(tasks=list(pending))
-            ready = np.maximum(expected_free, sim.now)
-            assert self.batch_heuristic is not None
+        def map_batch(batch: list[int], live: list[int]) -> None:
+            sub = etc.submatrix(tasks=[etc.tasks[idx] for idx in batch])
+            ready = np.maximum(executor.expected_free, executor.sim.now)
             mapping = self.batch_heuristic.map_tasks(
                 sub, ready.tolist(), self.tie_breaker
             )
-            pending.clear()
             for a in mapping.assignments:
-                dispatch(a.task, etc.machine_index(a.machine))
+                executor.dispatch(etc.task_index(a.task), etc.machine_index(a.machine))
 
-        def on_task_finish(event) -> None:
-            nonlocal remaining
-            task, machine, start = event.payload
-            arrival = self.workload.arrival_of(task)
-            trace.add(
-                TaskExecution(
-                    task=task,
-                    machine=machine,
-                    start=start,
-                    finish=sim.now,
-                    arrival=arrival,
-                )
-            )
-            busy[machine] = False
-            remaining -= 1
-            try_start(machine)
-
-        sim.on("task-arrival", on_arrival)
-        sim.on("task-finish", on_task_finish)
-        sim.on("batch-event", on_batch_event)
-        for task in etc.tasks:
-            sim.schedule_at(self.workload.arrival_of(task), "task-arrival", task)
-        sim.run(
-            max_events=20 * etc.num_tasks + 10_000,
-            progress=progress,
-            progress_every=progress_every,
+        executor = QueueExecutor(
+            etc.machines, etc.tasks.__getitem__, etc.num_tasks,
+            map_batch=None if policy is not None else map_batch,
+            batch_interval=self.batch_interval,
+            trace=ExecutionTrace(etc.machines),
         )
-        # Flush any stragglers left pending if the last tick fired early.
-        while len(trace) < etc.num_tasks:
-            run_batch()
-            for m in etc.machines:
-                try_start(m)
-            before = sim.processed_events
-            sim.run(max_events=before + 20 * etc.num_tasks + 10_000)
-            if sim.processed_events == before and len(trace) < etc.num_tasks:
-                raise SimulationError("dynamic simulation stalled with pending tasks")
-        return trace
+        executor.rows.update(enumerate(values.tolist()))
+        executor.arrival.update(enumerate(self.workload.arrivals))
+
+        def on_arrival(event) -> None:
+            idx = event.payload
+            if policy is None:
+                executor.submit(idx)
+                return
+            now = executor.sim.now
+            j = policy.choose(values[idx], executor.expected_free, now)
+            executor.dispatch(idx, int(j))
+
+        sim = executor.sim
+        sim.on("task-arrival", on_arrival)
+        for idx, arrival in enumerate(self.workload.arrivals):
+            sim.schedule_at(arrival, "task-arrival", idx)
+        executor.run(progress=progress, progress_every=progress_every)
+        return executor.trace

@@ -6,17 +6,15 @@ tasks arrive continuously (Poisson, bursty, or trace-replay gaps from
 of tasks that arrived since the previous mapping event is mapped by a
 pluggable heuristic and then **refined by the paper's iterative
 technique** (:class:`~repro.core.iterative.IterativeScheduler`) before
-being dispatched to per-machine FIFO queues.  A seeded
+being dispatched to per-machine FIFO queues of the shared
+:class:`~repro.sim.executor.QueueExecutor`.  A seeded
 :class:`~repro.sim.faults.FaultPlan` may inject failures, recoveries
-and slowdowns live during the run; interrupted tasks are recovered
-across horizon boundaries (``remap`` sends them to the next batch,
-``requeue`` back to the head of their machine's queue) under a bounded
-retry budget, and exhausted tasks are *reported dropped, never lost* —
-the run raises if the accounting does not close.
+and slowdowns live during the run (docs/robustness.md#failure-semantics;
+``remap`` sends interrupted tasks to the next batch).
 
 Task definitions stream in bounded windows from a
 :class:`TaskSource` — either generated on the fly
-(:class:`EnsembleTaskSource`, wrapping PR 7's ``stream_ensemble``) or
+(:class:`EnsembleTaskSource`, wrapping ``stream_ensemble``) or
 memory-mapped out of an :class:`~repro.etc.store.ETCStore`
 (:class:`StoreTaskSource`) — so a million-task run holds one window of
 definitions plus the live backlog, never the whole workload.
@@ -31,8 +29,6 @@ writes a ``repro-timeseries/1`` throughput log (``tasks_scheduled`` /
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -52,9 +48,8 @@ from repro.heuristics.base import Heuristic
 from repro.obs.timeseries import TIMESERIES_SCHEMA, TimeSeriesLog, rss_bytes
 from repro.obs.tracer import get_tracer
 from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
-from repro.sim.engine import Simulator
+from repro.sim.executor import QueueExecutor, Recovery, check_plan_machines
 from repro.sim.faults import FaultPlan
-from repro.sim.hcsystem import RECOVERY_POLICIES
 
 __all__ = [
     "TaskSource",
@@ -133,8 +128,7 @@ class EnsembleTaskSource(TaskSource):
 
     def chunks(self) -> Iterator[np.ndarray]:
         count = -(-self.num_tasks // self.tasks_per_instance)
-        emitted = 0
-        for block in stream_ensemble(
+        blocks = stream_ensemble(
             count,
             self.tasks_per_instance,
             self.num_machines,
@@ -143,13 +137,8 @@ class EnsembleTaskSource(TaskSource):
             method=self.method,
             rng=self._rng,
             window=self.window,
-        ):
-            rows = block.reshape(-1, self.num_machines)
-            take = min(rows.shape[0], self.num_tasks - emitted)
-            if take <= 0:
-                return
-            yield np.ascontiguousarray(rows[:take])
-            emitted += take
+        )
+        return _task_rows(blocks, self.num_tasks, self.num_machines)
 
 
 class StoreTaskSource(TaskSource):
@@ -185,16 +174,23 @@ class StoreTaskSource(TaskSource):
 
     def chunks(self) -> Iterator[np.ndarray]:
         values = self._batch.values
-        count = values.shape[0]
-        emitted = 0
-        for start in range(0, count, self.window):
-            block = np.array(values[start : start + self.window], dtype=np.float64)
-            rows = block.reshape(-1, self.num_machines)
-            take = min(rows.shape[0], self.num_tasks - emitted)
-            if take <= 0:
-                return
-            yield np.ascontiguousarray(rows[:take])
-            emitted += take
+        blocks = (
+            np.array(values[start : start + self.window], dtype=np.float64)
+            for start in range(0, values.shape[0], self.window)
+        )
+        return _task_rows(blocks, self.num_tasks, self.num_machines)
+
+
+def _task_rows(blocks, num_tasks: int, num_machines: int) -> Iterator[np.ndarray]:
+    """Flatten instance blocks into task rows, trimmed to ``num_tasks``."""
+    emitted = 0
+    for block in blocks:
+        rows = block.reshape(-1, num_machines)
+        take = min(rows.shape[0], num_tasks - emitted)
+        if take <= 0:
+            return
+        yield np.ascontiguousarray(rows[:take])
+        emitted += take
 
 
 def calibrate_rate(
@@ -374,11 +370,9 @@ class RollingSimulation:
         paper's technique to completion, ``k`` stops after ``k``
         iterations (original mapping included).
     plan / recovery / retry_budget / backoff_base / backoff_cap:
-        Live fault injection, with the same recovery semantics as
-        :class:`~repro.sim.hcsystem.FaultTolerantHCSystem` adapted to
-        the rolling loop: ``remap`` sends interrupted and stranded
-        tasks to the *next horizon batch*; ``requeue`` pins the victim
-        to the head of its machine's queue.
+        Live fault injection with the shared failure semantics
+        (docs/robustness.md#failure-semantics); ``remap`` sends
+        interrupted and stranded tasks to the *next horizon batch*.
     """
 
     def __init__(
@@ -404,25 +398,9 @@ class RollingSimulation:
             raise ConfigurationError(
                 f"refine_iterations must be >= 1 or None, got {refine_iterations}"
             )
-        if recovery not in RECOVERY_POLICIES:
-            raise ConfigurationError(
-                f"unknown recovery policy {recovery!r}; "
-                f"choose from {RECOVERY_POLICIES}"
-            )
-        if retry_budget < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
-        if backoff_base <= 0:
-            raise ConfigurationError(
-                f"backoff_base must be positive, got {backoff_base}"
-            )
-        if backoff_cap is None:
-            backoff_cap = 32.0 * backoff_base
-        if backoff_cap < backoff_base:
-            raise ConfigurationError(
-                f"backoff_cap {backoff_cap} must be >= backoff_base {backoff_base}"
-            )
+        self._recovery = Recovery(recovery, retry_budget, backoff_base, backoff_cap)
+        self.machines = [f"m{j}" for j in range(source.num_machines)]
+        check_plan_machines(plan, self.machines)
         self.source = source
         self.heuristic = heuristic
         self.horizon = float(horizon)
@@ -430,22 +408,14 @@ class RollingSimulation:
         self.utilization = float(utilization)
         self.refine_iterations = refine_iterations
         self._rng = rng
-        self.machines = [f"m{j}" for j in range(source.num_machines)]
-        if plan is not None and set(plan.machines) != set(self.machines):
-            raise ConfigurationError(
-                "fault plan machine set does not match the task source "
-                f"(expected {len(self.machines)} machines m0..)"
-            )
         self.plan = plan
         self.recovery = recovery
-        self.retry_budget = int(retry_budget)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.tie_breaker = tie_breaker or DeterministicTieBreaker()
 
     # ------------------------------------------------------------------
     def backoff_delay(self, attempt: int) -> float:
-        return min(self.backoff_base * 2.0 ** (attempt - 1), self.backoff_cap)
+        """Backoff before retry ``attempt`` (1-based): bounded doubling."""
+        return self._recovery.delay(attempt)
 
     def _make_process(self, first_chunk: np.ndarray) -> tuple[ArrivalProcess, float]:
         rate = calibrate_rate(first_chunk, self.utilization)
@@ -467,17 +437,10 @@ class RollingSimulation:
         """Serve the whole workload; returns aggregate statistics."""
         source = self.source
         total = source.num_tasks
-        num_machines = source.num_machines
         machines = self.machines
         tracer = get_tracer()
-        gen = (
-            self._rng
-            if isinstance(self._rng, np.random.Generator)
-            else np.random.default_rng(self._rng)
-        )
+        gen = np.random.default_rng(self._rng)  # a Generator passes through
         scheduler = IterativeScheduler(self.heuristic, tie_breaker=self.tie_breaker)
-
-        sim = Simulator()
         chunk_iter = source.chunks()
         try:
             first_chunk = next(chunk_iter)
@@ -486,322 +449,121 @@ class RollingSimulation:
         process, arrival_rate = self._make_process(first_chunk)
         process.reset()
 
-        # --- live state -------------------------------------------------
-        rows: dict[int, np.ndarray] = {}  # task idx -> ETC row (alive until done)
-        arrival_time: dict[int, float] = {}
-        pending: list[int] = []  # awaiting the next mapping event
-        queues: list[deque[int]] = [deque() for _ in range(num_machines)]
-        running: list[tuple[int, float, float] | None] = [None] * num_machines
-        expected_free = np.zeros(num_machines, dtype=np.float64)
-        up = [True] * num_machines
-        factor = [1.0] * num_machines
-        epoch = [0] * num_machines
-        attempts: dict[int, int] = {}
-        mapped_machine: dict[int, int] = {}
-        dropped: list[str] = []
-        plan_events = self.plan.events if self.plan is not None else ()
-        recovery_times = sorted(
-            event.time for event in plan_events if event.kind == "recover"
-        )
-
-        # --- aggregates -------------------------------------------------
-        stats = {
-            "arrived": 0, "dispatches": 0, "completed": 0,
-            "horizons": 0, "batch_max": 0,
-            "failures": 0, "recoveries": 0, "slowdowns": 0,
-            "aborted": 0, "retries": 0,
-        }
-        agg = {
-            "sum_wait": 0.0, "max_wait": 0.0, "sum_flow": 0.0,
-            "makespan": 0.0, "peak_backlog": 0,
-        }
-        horizon_scheduled = False
-        last_batch = -np.inf
+        peak_backlog = next_task_idx = 0
         chunk_last_idx = -1
-        next_task_idx = 0
-
-        # --- helpers ----------------------------------------------------
-        def backlog_size() -> int:
-            # Tasks in the system (pending + queued + in flight).
-            return stats["arrived"] - stats["completed"] - len(dropped)
 
         def sample() -> None:
-            if sampler is None:
-                return
-            sampler.tasks_arrived = stats["arrived"]
-            sampler.tasks_scheduled = stats["dispatches"]
-            sampler.tasks_completed = stats["completed"]
-            sampler.tasks_dropped = len(dropped)
-            sampler.failures = stats["failures"]
-            sampler.pending = len(pending)
-            sampler.backlog = backlog_size()
-            sampler.sim_time = sim.now
+            # Arrived tasks stay in ``executor.arrival`` until they finish
+            # or drop: its size is the backlog (pending + queued + running).
+            backlog = len(executor.arrival)
+            done = executor.completed + len(executor.dropped)
+            sampler.tasks_arrived = backlog + done
+            sampler.tasks_scheduled = executor.dispatches
+            sampler.tasks_completed = executor.completed
+            sampler.tasks_dropped = len(executor.dropped)
+            sampler.failures = executor.failures
+            sampler.pending = len(executor.pending)
+            sampler.backlog = backlog
+            sampler.sim_time = executor.sim.now
             sampler.note()
+
+        def map_batch(batch: list[int], live: list[int]) -> None:
+            rows = executor.rows
+            with tracer.phase(
+                "rolling.horizon",
+                index=executor.batches,
+                batch=len(batch),
+                live=len(live),
+            ):
+                values = np.array([rows[idx] for idx in batch])[:, live]
+                values *= np.array(
+                    [executor.factor[j] for j in live], dtype=np.float64
+                )
+                sub = ETCMatrix(
+                    values,
+                    tasks=[f"t{idx}" for idx in batch],
+                    machines=[machines[j] for j in live],
+                )
+                now = executor.sim.now
+                ready = [max(float(executor.expected_free[j]), now) for j in live]
+                result = scheduler.run(
+                    sub, ready_times=ready, max_iterations=self.refine_iterations
+                )
+                for assignment in result.final_mapping().assignments:
+                    executor.dispatch(
+                        int(assignment.task[1:]), int(assignment.machine[1:])
+                    )
+
+        executor = QueueExecutor(
+            machines, "t{}".format, total,
+            plan=self.plan,
+            recovery=self._recovery,
+            map_batch=map_batch,
+            batch_interval=self.horizon,
+            note=None if sampler is None else sample,
+        )
+        sim = executor.sim
 
         def schedule_chunk(chunk: np.ndarray) -> None:
             nonlocal next_task_idx, chunk_last_idx
             count = chunk.shape[0]
-            gaps = process.gaps(count, gen)
-            times = float(sim.now) + np.cumsum(gaps)
             base = next_task_idx
-            for i in range(count):
-                sim.schedule_at(
-                    float(times[i]), "task-arrival", payload=(base + i, chunk, i)
-                )
+            executor.rows.update(zip(range(base, base + count), chunk.tolist()))
+            gaps = process.gaps(count, gen)
+            times = (float(sim.now) + np.cumsum(gaps)).tolist()
+            for i, time_ in enumerate(times):
+                sim.schedule_at(time_, "task-arrival", base + i)
             next_task_idx = base + count
             chunk_last_idx = next_task_idx - 1
 
-        def ensure_horizon() -> None:
-            nonlocal horizon_scheduled
-            if horizon_scheduled:
-                return
-            due = max(sim.now, last_batch + self.horizon)
-            sim.schedule_at(due, "rolling-horizon", priority=10)
-            horizon_scheduled = True
-
-        def try_start(j: int) -> None:
-            if not up[j] or running[j] is not None or not queues[j]:
-                return
-            idx = queues[j].popleft()
-            start = sim.now
-            duration = float(rows[idx][j]) * factor[j]
-            running[j] = (idx, start, start + duration)
-            sim.schedule(duration, "task-finish", payload=(idx, j, start, epoch[j]))
-
-        def dispatch(idx: int, j: int) -> None:
-            mapped_machine[idx] = j
-            queues[j].append(idx)
-            expected_free[j] = (
-                max(expected_free[j], sim.now) + float(rows[idx][j]) * factor[j]
-            )
-            stats["dispatches"] += 1
-            wait = sim.now - arrival_time[idx]
-            agg["sum_wait"] += wait
-            if wait > agg["max_wait"]:
-                agg["max_wait"] = wait
-            try_start(j)
-
-        def retry_or_drop(idx: int) -> None:
-            attempts[idx] = attempts.get(idx, 0) + 1
-            if attempts[idx] > self.retry_budget:
-                dropped.append(f"t{idx}")
-                rows.pop(idx, None)
-                arrival_time.pop(idx, None)
-                mapped_machine.pop(idx, None)
-                if tracer.enabled:
-                    tracer.count("rolling.dropped")
-                return
-            stats["retries"] += 1
-            if tracer.enabled:
-                tracer.count("rolling.retries")
-            sim.schedule(
-                self.backoff_delay(attempts[idx]), "task-retry", payload=idx
-            )
-
-        def map_pending() -> None:
-            nonlocal horizon_scheduled
-            live = [j for j in range(num_machines) if up[j]]
-            if not live:
-                # Defer the whole batch to the next known recovery (the
-                # retry-after-recover ordering trick: priority 20 puts
-                # this event after the recover at the same instant).
-                index = bisect_right(recovery_times, sim.now)
-                due = (
-                    recovery_times[index]
-                    if index < len(recovery_times)
-                    else sim.now + self.horizon
-                )
-                sim.schedule_at(due, "rolling-horizon", priority=20)
-                horizon_scheduled = True
-                return
-            batch = list(pending)
-            pending.clear()
-            stats["horizons"] += 1
-            if len(batch) > stats["batch_max"]:
-                stats["batch_max"] = len(batch)
-            with tracer.phase(
-                "rolling.horizon",
-                index=stats["horizons"],
-                batch=len(batch),
-                live=len(live),
-            ):
-                scale = np.array([factor[j] for j in live], dtype=np.float64)
-                values = np.empty((len(batch), len(live)), dtype=np.float64)
-                for row_i, idx in enumerate(batch):
-                    values[row_i] = rows[idx][live]
-                values *= scale
-                labels = [f"t{idx}" for idx in batch]
-                sub = ETCMatrix(
-                    values, tasks=labels, machines=[machines[j] for j in live]
-                )
-                ready = [
-                    max(float(expected_free[j]), sim.now) for j in live
-                ]
-                result = scheduler.run(
-                    sub, ready_times=ready, max_iterations=self.refine_iterations
-                )
-                mapping = result.final_mapping()
-                for assignment in mapping.assignments:
-                    idx = int(assignment.task[1:])
-                    j = int(assignment.machine[1:])
-                    dispatch(idx, j)
-
-        # --- handlers ---------------------------------------------------
         def on_arrival(event) -> None:
-            idx, chunk, i = event.payload
-            rows[idx] = np.array(chunk[i], dtype=np.float64)
-            arrival_time[idx] = sim.now
-            pending.append(idx)
-            stats["arrived"] += 1
-            backlog = backlog_size()
-            if backlog > agg["peak_backlog"]:
-                agg["peak_backlog"] = backlog
-            ensure_horizon()
-            if idx == chunk_last_idx:
-                try:
-                    schedule_chunk(next(chunk_iter))
-                except StopIteration:
-                    pass
-            sample()
-
-        def on_horizon(event) -> None:
-            nonlocal horizon_scheduled, last_batch
-            horizon_scheduled = False
-            last_batch = sim.now
-            if pending:
-                map_pending()
-            sample()
-
-        def on_task_finish(event) -> None:
-            idx, j, start, start_epoch = event.payload
-            if start_epoch != epoch[j]:
-                return  # stale: machine failed after this was scheduled
-            running[j] = None
-            stats["completed"] += 1
-            finish = sim.now
-            agg["sum_flow"] += finish - arrival_time[idx]
-            if finish > agg["makespan"]:
-                agg["makespan"] = finish
-            rows.pop(idx, None)
-            arrival_time.pop(idx, None)
-            attempts.pop(idx, None)
-            mapped_machine.pop(idx, None)
-            try_start(j)
-            sample()
-
-        def on_task_retry(event) -> None:
+            nonlocal peak_backlog
             idx = event.payload
-            if idx not in rows:
-                return  # dropped meanwhile
-            if self.recovery == "requeue":
-                j = mapped_machine[idx]
-                queues[j].appendleft(idx)
-                try_start(j)
-                return
-            pending.append(idx)
-            ensure_horizon()
-
-        def on_machine_fail(event) -> None:
-            j = machines.index(event.payload.machine)
-            if not up[j]:
-                return
-            up[j] = False
-            epoch[j] += 1
-            stats["failures"] += 1
-            if tracer.enabled:
-                tracer.count("rolling.failures")
-            victim = running[j]
-            running[j] = None
-            if self.recovery == "remap" and queues[j]:
-                # Stranded queued tasks never failed: back to the next
-                # batch without charging their retry budgets.
-                stranded = list(queues[j])
-                queues[j].clear()
-                pending.extend(stranded)
-                ensure_horizon()
-            if victim is not None:
-                stats["aborted"] += 1
-                retry_or_drop(victim[0])
-            sample()
-
-        def on_machine_recover(event) -> None:
-            j = machines.index(event.payload.machine)
-            if up[j]:
-                return
-            up[j] = True
-            stats["recoveries"] += 1
-            try_start(j)
-
-        def on_machine_slow(event) -> None:
-            j = machines.index(event.payload.machine)
-            factor[j] = event.payload.factor
-            stats["slowdowns"] += 1
-
-        def on_machine_restore(event) -> None:
-            factor[machines.index(event.payload.machine)] = 1.0
+            executor.arrival[idx] = sim.now
+            executor.submit(idx)
+            peak_backlog = max(peak_backlog, len(executor.arrival))
+            if idx == chunk_last_idx:
+                chunk = next(chunk_iter, None)
+                if chunk is not None:
+                    schedule_chunk(chunk)
+            if sampler is not None:
+                sample()
 
         sim.on("task-arrival", on_arrival)
-        sim.on("rolling-horizon", on_horizon)
-        sim.on("task-finish", on_task_finish)
-        sim.on("task-retry", on_task_retry)
-        sim.on("machine-fail", on_machine_fail)
-        sim.on("machine-recover", on_machine_recover)
-        sim.on("machine-slow", on_machine_slow)
-        sim.on("machine-restore", on_machine_restore)
-
         with tracer.phase(
             "rolling.run",
             tasks=total,
-            machines=num_machines,
+            machines=len(machines),
             horizon=self.horizon,
             heuristic=self.heuristic.name,
         ):
             schedule_chunk(first_chunk)
-            # Faults run at a lower priority than same-instant finishes,
-            # matching FaultTolerantHCSystem semantics.
-            for fault in plan_events:
-                sim.schedule_at(
-                    fault.time, f"machine-{fault.kind}", payload=fault, priority=10
-                )
-            sim.run(
-                max_events=12 * (total + 1) * (self.retry_budget + 2)
-                + 6 * len(plan_events)
-                + 50_000,
-                progress=progress,
-                progress_every=progress_every,
-            )
+            executor.run(progress=progress, progress_every=progress_every)
 
-        if stats["completed"] + len(dropped) != total or stats["arrived"] != total:
-            raise SimulationError(
-                f"rolling accounting failed: arrived {stats['arrived']}, "
-                f"completed {stats['completed']}, dropped {len(dropped)} "
-                f"of {total} tasks"
-            )
         if sampler is not None:
             sample()
+        dispatches = executor.dispatches
         return RollingResult(
             total_tasks=total,
-            completed=stats["completed"],
-            dropped=tuple(dropped),
+            completed=executor.completed,
+            dropped=tuple(executor.dropped),
             arrival_rate=float(arrival_rate),
             horizon=self.horizon,
             refine_iterations=self.refine_iterations,
-            horizons=stats["horizons"],
-            dispatches=stats["dispatches"],
-            batch_max=stats["batch_max"],
-            makespan=agg["makespan"],
+            horizons=executor.batches,
+            dispatches=dispatches,
+            batch_max=executor.batch_max,
+            makespan=executor.makespan,
             sim_end=sim.now,
-            mean_queue_wait=(
-                agg["sum_wait"] / stats["dispatches"] if stats["dispatches"] else 0.0
-            ),
-            max_queue_wait=agg["max_wait"],
+            mean_queue_wait=executor.sum_wait / dispatches if dispatches else 0.0,
+            max_queue_wait=executor.max_wait,
             mean_flow=(
-                agg["sum_flow"] / stats["completed"] if stats["completed"] else 0.0
+                executor.sum_flow / executor.completed if executor.completed else 0.0
             ),
-            peak_backlog=agg["peak_backlog"],
-            failures=stats["failures"],
-            recoveries=stats["recoveries"],
-            slowdowns=stats["slowdowns"],
-            aborted=stats["aborted"],
-            retries=stats["retries"],
+            peak_backlog=peak_backlog,
+            failures=executor.failures,
+            recoveries=executor.recoveries,
+            slowdowns=executor.slowdowns,
+            aborted=executor.aborted,
+            retries=executor.retries,
         )

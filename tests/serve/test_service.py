@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import asyncio
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.obs import CollectingTracer, use_tracer
+from repro.obs.metrics import nearest_rank
+from repro.serve import load
 from repro.serve.models import RESPONSE_SCHEMA
 from repro.serve.service import STATS_SCHEMA, SchedulingService, execute_request
 
@@ -216,6 +219,36 @@ def test_stats_snapshot(tmp_path):
     assert stats["latency_ms"]["count"] == 2
     assert stats["latency_ms"]["p95"] >= stats["latency_ms"]["p50"] >= 0.0
     assert stats["cache_dir"].endswith("responses")
+
+
+def test_stats_and_load_share_the_nearest_rank_percentile(tmp_path, monkeypatch):
+    """``/v1/stats`` and ``repro serve-load`` read p50/p95 off the raw
+    latency window with the one nearest-rank routine in obs.metrics."""
+    samples_ms = [7.0, 1.0, 9.0, 3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 10.0]
+    assert nearest_rank(sorted(samples_ms), 0.50) == 6.0  # index int(0.5 * 10)
+    assert nearest_rank(sorted(samples_ms), 0.95) == 10.0  # index clamped to 9
+    assert nearest_rank([], 0.50) == 0.0
+
+    service = make_service(tmp_path)
+    try:
+        service._latencies_ms[:] = samples_ms
+        latency = service.stats()["latency_ms"]
+    finally:
+        service.close()
+    assert (latency["p50"], latency["p95"]) == (6.0, 10.0)
+
+    # One client thread and a scripted clock: request i is sent at i s
+    # and answered samples_ms[i] later.
+    ticks = iter(
+        [0.0]
+        + [t for i, ms in enumerate(samples_ms) for t in (float(i), i + ms / 1e3)]
+        + [100.0]
+    )
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks), sleep=time.sleep)
+    monkeypatch.setattr(load, "time", clock)
+    monkeypatch.setattr(load, "post_json", lambda *a, **k: (200, {"cached": True}))
+    report = load.run_load("http://unused", {}, requests=10, concurrency=1)
+    assert (report["latency_ms"]["p50"], report["latency_ms"]["p95"]) == (6.0, 10.0)
 
 
 def test_ledger_record_summarises_and_deduplicates(tmp_path):

@@ -9,7 +9,7 @@ import repro
 
 class TestTopLevelAPI:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import repro
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -69,6 +71,13 @@ class TestReadme:
         code = match.group(1)
         exec_globals: dict = {}
         exec(compile(code, "<README quickstart>", "exec"), exec_globals)
+
+
+class TestChangelog:
+    def test_top_entry_is_the_package_version(self):
+        match = re.search(r"^## (\d+\.\d+\.\d+)\s*$", _read("CHANGELOG.md"), re.M)
+        assert match, "CHANGELOG.md needs a '## x.y.z' entry"
+        assert match.group(1) == repro.__version__
 
 
 class TestExamplesRunnable:
