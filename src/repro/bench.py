@@ -151,19 +151,21 @@ def _mapper_workload(heuristic_factory) -> Callable:
     return build
 
 
-def _iterative_workload(options: BenchOptions):
-    from repro.core.iterative import IterativeScheduler
-    from repro.heuristics.minmin import MinMin
+def _iterative_workload(heuristic_factory) -> Callable:
+    def build(options: BenchOptions):
+        from repro.core.iterative import IterativeScheduler
 
-    etc = _bench_etc(options.smoke)
+        etc = _bench_etc(options.smoke)
 
-    def run():
-        return IterativeScheduler(MinMin(incremental=True)).run(etc)
+        def run():
+            return IterativeScheduler(heuristic_factory(incremental=True)).run(etc)
 
-    def run_reference():
-        return IterativeScheduler(MinMin(incremental=False)).run(etc)
+        def run_reference():
+            return IterativeScheduler(heuristic_factory(incremental=False)).run(etc)
 
-    return run, run_reference
+        return run, run_reference
+
+    return build
 
 
 def _experiment_workload(options: BenchOptions):
@@ -737,7 +739,12 @@ WORKLOADS: tuple[Workload, ...] = (
     Workload(
         "iterative-minmin-512x32",
         "Full iterative technique with Min-Min, 512 tasks x 32 machines",
-        _iterative_workload,
+        _iterative_workload(_make_minmin),
+    ),
+    Workload(
+        "iterative-sufferage-512x32",
+        "Full iterative technique with Sufferage, 512 tasks x 32 machines",
+        _iterative_workload(_make_sufferage),
     ),
     Workload(
         "experiment-grid-small",

@@ -491,16 +491,20 @@ def _kpb_batch(
 def _sufferage_batch(batch: ETCBatch, ready0: np.ndarray) -> BatchResult:
     """Stacked Sufferage: the dominant first pass (all tasks pending in
     every instance) runs as one 3-D scan; later passes reconsider only
-    displaced tasks and reuse the single-instance pass math verbatim.
+    the tasks left pending and reuse the single-instance pass math.
+
+    Every pass resolves its machine contests with
+    :func:`repro.heuristics.sufferage.contest` and commits the holders
+    in task order.  Holders sit on distinct machines, so the commit is
+    one vectorised ready-time update with the same float arithmetic as
+    :meth:`repro.core.schedule.Mapping.assign_index`.
     """
-    from repro.heuristics.sufferage import _fast_decisions
+    from repro.heuristics.sufferage import _fast_decisions, contest
 
     values = batch.values
     size, num_tasks, num_machines = values.shape
     ready = ready0.copy()
     task_seq, machine_seq, starts, completions = _alloc(batch)
-    cursor = [0] * size
-    pending: list[list[int]] = [list(range(num_tasks)) for _ in range(size)]
 
     # Pass 1, batched: identical elementwise tolerance math to
     # repro.heuristics.sufferage._fast_decisions, across the batch axis.
@@ -509,40 +513,37 @@ def _sufferage_batch(batch: ETCBatch, ready0: np.ndarray) -> BatchResult:
     tied = (completion - best[:, :, None]) <= np.maximum(
         DEFAULT_ABS_TOL, DEFAULT_REL_TOL * completion
     )
-    chosen = tied.argmax(axis=2)
+    first_chosen = tied.argmax(axis=2)
     b_idx = np.arange(size)[:, None]
     t_idx = np.arange(num_tasks)[None, :]
-    earliest = completion[b_idx, t_idx, chosen]
+    earliest = completion[b_idx, t_idx, first_chosen]
     if num_machines >= 2:
-        completion[b_idx, t_idx, chosen] = np.inf
-        sufferage = completion.min(axis=2) - earliest
+        completion[b_idx, t_idx, first_chosen] = np.inf
+        first_sufferage = completion.min(axis=2) - earliest
     else:
-        sufferage = np.zeros((size, num_tasks))
-    first_pass = [
-        list(zip(chosen[b].tolist(), earliest[b].tolist(), sufferage[b].tolist()))
-        for b in range(size)
-    ]
+        first_sufferage = np.zeros((size, num_tasks))
 
     for b in range(size):
-        per_task = first_pass[b]
-        while pending[b]:
-            snapshot = list(pending[b])
-            if per_task is None:
-                per_task = _fast_decisions(values[b], snapshot, ready[b])
-            _sufferage_pass(
-                b,
-                snapshot,
-                per_task,
-                pending,
-                cursor,
-                values,
-                ready,
-                task_seq,
-                machine_seq,
-                starts,
-                completions,
-            )
-            per_task = None
+        pending = np.arange(num_tasks)
+        chosen, sufferage = first_chosen[b], first_sufferage[b]
+        cursor = 0
+        while True:
+            holders = contest(chosen, sufferage)
+            tasks = pending[holders]
+            machines = chosen[holders]
+            start = ready[b, machines]
+            finish = start + values[b, tasks, machines]
+            ready[b, machines] = finish
+            step = slice(cursor, cursor + holders.size)
+            task_seq[b, step] = tasks
+            machine_seq[b, step] = machines
+            starts[b, step] = start
+            completions[b, step] = finish
+            cursor += holders.size
+            pending = np.delete(pending, holders)
+            if not pending.size:
+                break
+            chosen, _, sufferage = _fast_decisions(values[b], pending, ready[b])
     return BatchResult(
         batch=batch,
         heuristic="sufferage",
@@ -553,56 +554,6 @@ def _sufferage_batch(batch: ETCBatch, ready0: np.ndarray) -> BatchResult:
         finish_times=ready,
         initial_ready=ready0,
     )
-
-
-def _sufferage_pass(
-    b: int,
-    snapshot: list[int],
-    per_task: list[tuple[int, float, float]],
-    pending: list[list[int]],
-    cursor: list[int],
-    values: np.ndarray,
-    ready: np.ndarray,
-    task_seq: np.ndarray,
-    machine_seq: np.ndarray,
-    starts: np.ndarray,
-    completions: np.ndarray,
-) -> None:
-    """One Sufferage contest + commit for instance ``b``.
-
-    Index-space transcription of the single-instance pass body: the
-    snapshot is scanned in task order, displacement requires strictly
-    greater sufferage beyond the absolute tolerance, commits land in
-    task order and update ready times sequentially through the same
-    float arithmetic as :meth:`repro.core.schedule.Mapping.assign_index`.
-    """
-    holders: dict[int, tuple[int, float]] = {}
-    for position, task in enumerate(snapshot):
-        machine, _earliest, sufferage = per_task[position]
-        incumbent = holders.get(machine)
-        if incumbent is None:
-            holders[machine] = (task, sufferage)
-            pending[b].remove(task)
-        elif incumbent[1] < sufferage - DEFAULT_ABS_TOL:
-            displaced, _ = incumbent
-            holders[machine] = (task, sufferage)
-            pending[b].remove(task)
-            pending[b].append(displaced)
-            pending[b].sort()
-        # else: the incumbent keeps the machine (sufferage ties included)
-    commits = sorted(
-        ((task, machine) for machine, (task, _) in holders.items())
-    )
-    for task, machine in commits:
-        start = float(ready[b, machine])
-        finish = start + float(values[b, task, machine])
-        ready[b, machine] = finish
-        k = cursor[b]
-        task_seq[b, k] = task
-        machine_seq[b, k] = machine
-        starts[b, k] = start
-        completions[b, k] = finish
-        cursor[b] = k + 1
 
 
 _KERNELS = {

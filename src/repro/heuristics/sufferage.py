@@ -34,9 +34,19 @@ Conventions (documented, needed for the paper's examples):
   condition is strictly "less than");
 * earliest-completion machine ties go through the tie-breaking policy.
 
+The default kernel works in index space.  Ready times are fixed within
+a pass, so every task's machine and sufferage value come from one
+``(pending x machines)`` table, and step ii.c — a scan over the pass,
+one task at a time — reduces to one contest per machine that
+:func:`contest` resolves for the whole pass in a few numpy calls (see
+``docs/algorithms.md`` for why that is decision-identical).  The
+sequential scan survives as :func:`_scan_contest`, used at the
+tolerance boundary and to replay a pass's decision records.
+
 The per-pass decision trace is kept on :attr:`Sufferage.last_trace` so
 the bench harness can regenerate the per-pass rows of paper Tables 16
-and 17.
+and 17.  Its :class:`SufferageDecision` records are built on first read
+of :attr:`SufferagePass.decisions` (or at once when a tracer listens).
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from repro.core.ties import (
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.obs.tracer import get_tracer
 
-__all__ = ["Sufferage", "SufferageDecision", "SufferagePass"]
+__all__ = ["Sufferage", "SufferageDecision", "SufferagePass", "contest"]
 
 
 @dataclass(frozen=True)
@@ -76,13 +86,89 @@ class SufferageDecision:
     displaced_task: str | None = None
 
 
-@dataclass(frozen=True)
 class SufferagePass:
-    """All decisions of one while-loop pass plus the commits it made."""
+    """All decisions of one while-loop pass plus the commits it made.
 
-    index: int
-    decisions: tuple[SufferageDecision, ...]
-    committed: tuple[tuple[str, str], ...]  # (task, machine) pairs
+    Compares, hashes and prints like the frozen record
+    ``(index, decisions, committed)``.  A pass built by
+    :meth:`from_contest` keeps the pass's index arrays instead of
+    decision records and builds :attr:`decisions` on first access by
+    replaying :func:`_scan_contest`.
+    """
+
+    __slots__ = ("index", "committed", "_decisions", "_arrays")
+
+    def __init__(
+        self,
+        index: int,
+        decisions: tuple[SufferageDecision, ...] | None,
+        committed: tuple[tuple[str, str], ...],  # (task, machine) pairs
+    ) -> None:
+        self.index = index
+        self.committed = committed
+        self._decisions = decisions
+        self._arrays = None
+
+    @classmethod
+    def from_contest(
+        cls,
+        index: int,
+        committed: tuple[tuple[str, str], ...],
+        labels: tuple[tuple[str, ...], tuple[str, ...]],
+        rows: np.ndarray,
+        chosen: np.ndarray,
+        earliest: np.ndarray,
+        sufferage: np.ndarray,
+    ) -> SufferagePass:
+        """A pass whose decision records are built on demand.
+
+        ``labels`` are the ETC's (task, machine) labels; ``rows`` are
+        the pass's pending task rows in list order and ``chosen``,
+        ``earliest``, ``sufferage`` its per-task machine column,
+        earliest completion time and sufferage value.
+        """
+        record = cls(index, None, committed)
+        record._arrays = (labels, rows, chosen, earliest, sufferage)
+        return record
+
+    @property
+    def decisions(self) -> tuple[SufferageDecision, ...]:
+        if self._decisions is None:
+            (tasks, machines), rows, chosen, earliest, sufferage = self._arrays
+            _, outcomes, rivals = _scan_contest(chosen, sufferage)
+            names = [tasks[r] for r in rows.tolist()]
+            self._decisions = tuple(
+                SufferageDecision(
+                    names[k],
+                    machines[m],
+                    e,
+                    s,
+                    outcomes[k],
+                    None if rivals[k] is None else names[rivals[k]],
+                )
+                for k, (m, e, s) in enumerate(
+                    zip(chosen.tolist(), earliest.tolist(), sufferage.tolist())
+                )
+            )
+            self._arrays = None
+        return self._decisions
+
+    def _key(self) -> tuple:
+        return (self.index, self.decisions, self.committed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SufferagePass(index={self.index!r}, "
+            f"decisions={self.decisions!r}, committed={self.committed!r})"
+        )
 
 
 @register_heuristic
@@ -92,8 +178,8 @@ class Sufferage(Heuristic):
     name = "sufferage"
 
     def __init__(self, *, incremental: bool = True) -> None:
-        #: Use the maintained completion-table kernel (default); the
-        #: per-pass rebuild reference path is kept for equivalence tests.
+        #: Use the index-space per-pass contest kernel (default); the
+        #: per-task reference path is kept for equivalence tests.
         self.incremental = bool(incremental)
         self.last_trace: tuple[SufferagePass, ...] = ()
 
@@ -109,114 +195,53 @@ class Sufferage(Heuristic):
             self._run_reference(mapping, tie_breaker)
 
     def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
-        """Streamlined kernel: fused pass scan, index-space commits.
+        """Index-space kernel: one table, one contest, few commits a pass.
 
-        Sufferage commits one task per machine per pass, so *every*
-        ready time changes between passes and an incrementally
-        maintained table would be refreshed wholesale — no asymptotic
-        win (unlike Min-Min's one-column-per-round structure).  The
-        savings here are constant-factor but real: the pass scan in
-        :func:`_fast_decisions` exploits positivity to halve the
-        elementwise passes of the reference tolerance math, and commits
-        go through the index-space :meth:`Mapping.assign_index` against
-        the live ready-time view.
+        The pending list ``L`` is an ascending array of task rows.  Each
+        pass computes every pending task's (machine, earliest CT,
+        sufferage) at once — :func:`_fast_decisions` under the
+        deterministic policy, otherwise one ``tie_breaker.choose`` per
+        task in list order — resolves step ii.c with :func:`contest`,
+        commits the holders in task order and drops them from ``L``.
+        Displaced and rejected tasks simply stay pending, which is
+        exactly where the sequential scan leaves them.
         """
         etc = mapping.etc
         tracer = get_tracer()
-        order = {t: i for i, t in enumerate(etc.tasks)}
-        machine_col = {m: j for j, m in enumerate(etc.machines)}
+        labels = (etc.tasks, etc.machines)
         values = etc.values
         ready = mapping.ready_times_view()
-        pending: list[str] = list(etc.tasks)
+        pending = np.arange(etc.num_tasks)
         passes: list[SufferagePass] = []
-        pass_index = 0
-        # The deterministic policy admits a fully vectorised scan (the
-        # measured hot path at scale — see the scaling bench); other
-        # policies take the per-task route so genuine ties still flow
-        # through the TieBreaker one decision at a time.
+        # The deterministic policy admits a fully vectorised table;
+        # other policies draw one tie decision per task so genuine ties
+        # still flow through the TieBreaker in list order.
         fast_path = type(tie_breaker) is DeterministicTieBreaker
-        while pending:
-            snapshot = list(pending)
-            per_task = (
-                _fast_decisions(values, [order[t] for t in snapshot], ready)
-                if fast_path
-                else None
-            )
-            # machine label -> (task, sufferage) tentative holder
-            holders: dict[str, tuple[str, float]] = {}
-            decisions: list[SufferageDecision] = []
-            for position, task in enumerate(snapshot):
-                if per_task is not None:
-                    machine_idx, earliest, sufferage = per_task[position]
-                else:
-                    completion = mapping.completion_times_if(task)
-                    machine_idx = tie_breaker.choose(tied_argmin(completion))
-                    earliest = float(completion[machine_idx])
-                    sufferage = _sufferage_value(completion, machine_idx)
-                machine = etc.machines[machine_idx]
-                incumbent = holders.get(machine)
-                if incumbent is None:
-                    holders[machine] = (task, sufferage)
-                    pending.remove(task)
-                    decisions.append(
-                        SufferageDecision(task, machine, earliest, sufferage, "claimed")
-                    )
-                elif incumbent[1] < sufferage - DEFAULT_ABS_TOL:
-                    displaced, _ = incumbent
-                    holders[machine] = (task, sufferage)
-                    pending.remove(task)
-                    pending.append(displaced)
-                    pending.sort(key=order.__getitem__)
-                    decisions.append(
-                        SufferageDecision(
-                            task,
-                            machine,
-                            earliest,
-                            sufferage,
-                            "displaced",
-                            displaced_task=displaced,
-                        )
-                    )
-                else:
-                    decisions.append(
-                        SufferageDecision(
-                            task,
-                            machine,
-                            earliest,
-                            sufferage,
-                            "rejected",
-                            displaced_task=incumbent[0],
-                        )
-                    )
-            # Step iii: commit this pass's holders, then ready times update.
-            commits = sorted(
-                ((task, machine) for machine, (task, _) in holders.items()),
-                key=lambda pair: order[pair[0]],
-            )
-            for task, machine in commits:
-                mapping.assign_index(order[task], machine_col[machine])
-            if tracer.enabled:
-                for d in decisions:
-                    tracer.event(
-                        "sufferage.decision",
-                        pass_index=pass_index,
-                        task=d.task,
-                        machine=d.machine,
-                        earliest_ct=d.earliest_ct,
-                        sufferage=d.sufferage,
-                        outcome=d.outcome,
-                        displaced_task=d.displaced_task,
-                    )
-                    tracer.count("decisions")
-                tracer.event(
-                    "sufferage.pass",
-                    index=pass_index,
-                    committed=tuple(commits),
+        while pending.size:
+            if fast_path:
+                chosen, earliest, sufferage = _fast_decisions(values, pending, ready)
+            else:
+                chosen, earliest, sufferage = _policy_decisions(
+                    values, pending, ready, tie_breaker
                 )
-            passes.append(
-                SufferagePass(pass_index, tuple(decisions), tuple(commits))
+            holders = contest(chosen, sufferage)
+            rows = pending[holders].tolist()
+            cols = chosen[holders].tolist()
+            # Step iii: commit this pass's holders, then ready times update.
+            for row, col in zip(rows, cols):
+                mapping.assign_index(row, col)
+            commits = tuple(
+                (etc.tasks[row], etc.machines[col]) for row, col in zip(rows, cols)
             )
-            pass_index += 1
+            record = SufferagePass.from_contest(
+                len(passes), commits, labels, pending, chosen, earliest, sufferage
+            )
+            if tracer.enabled:
+                _emit_pass(tracer, record)
+            passes.append(record)
+            keep = np.ones(pending.size, dtype=bool)
+            keep[holders] = False
+            pending = pending[keep]
         self.last_trace = tuple(passes)
 
     def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
@@ -310,6 +335,88 @@ class Sufferage(Heuristic):
         self.last_trace = tuple(passes)
 
 
+def _emit_pass(tracer, record: SufferagePass) -> None:
+    """The ``sufferage.decision`` and ``sufferage.pass`` events of a pass."""
+    for d in record.decisions:
+        tracer.event(
+            "sufferage.decision",
+            pass_index=record.index,
+            task=d.task,
+            machine=d.machine,
+            earliest_ct=d.earliest_ct,
+            sufferage=d.sufferage,
+            outcome=d.outcome,
+            displaced_task=d.displaced_task,
+        )
+        tracer.count("decisions")
+    tracer.event("sufferage.pass", index=record.index, committed=record.committed)
+
+
+def contest(chosen: np.ndarray, sufferage: np.ndarray) -> np.ndarray:
+    """Ascending positions of the tasks holding a machine after a pass.
+
+    ``chosen[k]`` and ``sufferage[k]`` are the earliest-completion
+    machine and sufferage value of the pass's ``k``-th task in list
+    order.  The result equals ``_scan_contest(chosen, sufferage)[0]``:
+
+    * the stable sort puts each machine's *first exact maximum* ``x``
+      at the head of its segment;
+    * no later claimant ``q`` can displace ``x``: that needs
+      ``s[x] < s[q] - tol`` with ``s[q] <= s[x]``;
+    * ``x`` displaces whoever holds the machine when it arrives if every
+      earlier claimant ``p`` has ``s[p] < s[x] - tol`` — the same float
+      expression the sequential rule evaluates.
+
+    Should any machine fail that last check (claimants within the
+    absolute tolerance of its maximum), the pass falls back to the
+    sequential scan, so the result stays exact at the boundary.
+    """
+    order = np.lexsort((-sufferage, chosen))
+    machines = chosen[order]
+    head = np.empty(order.size, dtype=bool)
+    head[0] = True
+    np.not_equal(machines[1:], machines[:-1], out=head[1:])
+    heads = order[head]
+    leader = np.empty(machines[-1] + 1, dtype=np.intp)
+    leader[machines[head]] = heads
+    lead = leader[machines]  # each sorted entry's segment head
+    settled = sufferage[order] < sufferage[lead] - DEFAULT_ABS_TOL
+    settled |= order >= lead
+    if np.count_nonzero(settled) != settled.size:
+        return _scan_contest(chosen, sufferage)[0]
+    heads.sort()
+    return heads
+
+
+def _scan_contest(
+    chosen: np.ndarray, sufferage: np.ndarray
+) -> tuple[np.ndarray, list[str], list[int | None]]:
+    """Step ii.c as written: scan the pass in list order.
+
+    Returns the ascending holder positions plus, per task, its outcome
+    (``"claimed"``, ``"displaced"``, ``"rejected"``) and the position of
+    the incumbent it displaced or lost to (``None`` on a claim).
+    """
+    holder: dict[int, int] = {}
+    values = sufferage.tolist()
+    outcomes: list[str] = []
+    rivals: list[int | None] = []
+    for position, machine in enumerate(chosen.tolist()):
+        incumbent = holder.get(machine)
+        if incumbent is None:
+            holder[machine] = position
+            outcomes.append("claimed")
+        elif values[incumbent] < values[position] - DEFAULT_ABS_TOL:
+            holder[machine] = position
+            outcomes.append("displaced")
+        else:
+            outcomes.append("rejected")
+        rivals.append(incumbent)
+    holders = np.fromiter(holder.values(), dtype=np.intp, count=len(holder))
+    holders.sort()
+    return holders, outcomes, rivals
+
+
 def _sufferage_value(completion: np.ndarray, best_idx: int) -> float:
     """Second-earliest CT minus earliest CT; 0 with a single machine."""
     if completion.size < 2:
@@ -318,18 +425,39 @@ def _sufferage_value(completion: np.ndarray, best_idx: int) -> float:
     return float(rest.min() - completion[best_idx])
 
 
+def _policy_decisions(
+    values: np.ndarray, rows: np.ndarray, ready: np.ndarray, tie_breaker: TieBreaker
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task (machine, earliest CT, sufferage) arrays, one
+    ``tie_breaker.choose`` per task in list order."""
+    chosen, earliest, sufferage = [], [], []
+    for row in rows.tolist():
+        completion = values[row] + ready
+        machine_idx = tie_breaker.choose(tied_argmin(completion))
+        chosen.append(machine_idx)
+        earliest.append(float(completion[machine_idx]))
+        sufferage.append(_sufferage_value(completion, machine_idx))
+    return (
+        np.array(chosen, dtype=np.intp),
+        np.array(earliest, dtype=np.float64),
+        np.array(sufferage, dtype=np.float64),
+    )
+
+
 def _fast_decisions(
-    values: np.ndarray, rows: list[int], ready: np.ndarray
-) -> list[tuple[int, float, float]]:
+    values: np.ndarray, rows: np.ndarray, ready: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_vectorised_decisions` with positivity-exact tolerance math.
 
-    Completion times are strictly positive (positive ETC, non-negative
-    ready times) and every entry is ``>=`` its row minimum, so the
-    reference tolerance scale ``max(|completion|, |best|)`` is exactly
-    ``completion`` and ``|completion - best|`` is exactly
-    ``completion - best`` — the same booleans from half the elementwise
-    passes.  The gathered ``completion`` buffer is owned, so the
-    second-minimum masking happens in place instead of on a copy.
+    Returns the per-task ``(chosen, earliest, sufferage)`` arrays of the
+    pending ``rows``.  Completion times are strictly positive (positive
+    ETC, non-negative ready times) and every entry is ``>=`` its row
+    minimum, so the reference tolerance scale
+    ``max(|completion|, |best|)`` is exactly ``completion`` and
+    ``|completion - best|`` is exactly ``completion - best`` — the same
+    booleans from half the elementwise passes.  The gathered
+    ``completion`` buffer is owned, so the second-minimum masking
+    happens in place instead of on a copy.
     """
     completion = values[rows] + ready[None, :]
     best = completion.min(axis=1)
@@ -344,7 +472,7 @@ def _fast_decisions(
         sufferage = completion.min(axis=1) - earliest
     else:
         sufferage = np.zeros(len(rows))
-    return list(zip(chosen.tolist(), earliest.tolist(), sufferage.tolist()))
+    return chosen, earliest, sufferage
 
 
 def _vectorised_decisions(

@@ -1,11 +1,15 @@
 """Unit tests for the Sufferage heuristic."""
 
+import pickle
+
 import numpy as np
 
-from repro.core.ties import TieBreaker
+import repro.heuristics.sufferage as sufferage_module
+from repro.core.ties import RandomTieBreaker, TieBreaker
 from repro.etc.generation import generate_range_based
 from repro.etc.matrix import ETCMatrix
 from repro.heuristics.sufferage import Sufferage, _sufferage_value
+from repro.obs.tracer import CollectingTracer, use_tracer
 
 
 class TestSufferageValue:
@@ -117,6 +121,58 @@ class TestTrace:
         etc = ETCMatrix([[1.0, 2.0]])
         loaded = Sufferage().map_tasks(etc, {"m0": 5.0})
         assert loaded.machine_of("t0") == "m1"
+
+
+class TestDecisionRecords:
+    """Pass records keep index arrays and build decisions on demand."""
+
+    def test_untraced_run_builds_no_decision_records(self, monkeypatch):
+        built = []
+        real = sufferage_module.SufferageDecision
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sufferage_module, "SufferageDecision", spy)
+        s = Sufferage()
+        s.map_tasks(generate_range_based(30, 4, rng=3))
+        assert built == []
+        decisions = s.last_trace[0].decisions
+        assert len(built) == len(decisions) == 30
+        assert s.last_trace[0].decisions is decisions  # built once
+
+    def test_traced_run_builds_records_up_front(self, monkeypatch):
+        built = []
+        real = sufferage_module.SufferageDecision
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sufferage_module, "SufferageDecision", spy)
+        s = Sufferage()
+        with use_tracer(CollectingTracer()):
+            s.map_tasks(generate_range_based(12, 3, rng=4))
+        assert len(built) == sum(len(p.decisions) for p in s.last_trace)
+
+    def test_record_equals_reference_record(self):
+        etc = generate_range_based(24, 4, rng=5)
+        for tie_breaker in (None, RandomTieBreaker(7)):
+            fast, slow = Sufferage(), Sufferage(incremental=False)
+            fast.map_tasks(etc, tie_breaker=tie_breaker)
+            if tie_breaker is not None:
+                tie_breaker = RandomTieBreaker(7)
+            slow.map_tasks(etc, tie_breaker=tie_breaker)
+            assert fast.last_trace == slow.last_trace
+            assert hash(fast.last_trace) == hash(slow.last_trace)
+            assert repr(fast.last_trace) == repr(slow.last_trace)
+
+    def test_pickle_round_trip(self):
+        s = Sufferage()
+        s.map_tasks(generate_range_based(16, 3, rng=6))
+        restored = pickle.loads(pickle.dumps(s.last_trace))
+        assert restored == s.last_trace
 
 
 class TestVectorisedFastPath:
