@@ -1,10 +1,12 @@
 """Sharded, resumable experiment execution with on-disk result caching.
 
-The one-shot pool in :mod:`repro.analysis.parallel` recomputes every
-(heterogeneity, consistency) cell on every invocation and loses all
-completed work when a run is interrupted.  This module replaces that
-engine while keeping :func:`repro.analysis.parallel.run_experiment_parallel`
-as a thin compatible wrapper:
+Experiment grids are embarrassingly parallel across (heterogeneity,
+consistency) cells: each cell owns an independent, stably-seeded RNG
+stream (see :mod:`repro.analysis.experiments`), so :func:`run_grid`
+runs cells in separate processes and the merged records are
+*bit-identical* to a serial :func:`~repro.analysis.experiments.run_experiment`
+run.  With ``cache_dir=None`` it is a one-shot run with no side
+effects; with a cache directory it adds:
 
 * **Content-addressed cells.**  Every cell sub-config is hashed with
   the run ledger's :func:`~repro.obs.ledger.config_hash` scheme
@@ -50,8 +52,8 @@ as a thin compatible wrapper:
   ``runner.cells.computed`` / ``runner.cells.retried`` /
   ``runner.cells.quarantined`` and fills the ``runner.cell_wall_s``
   histogram on the caller's tracer; per-cell worker snapshots merge in
-  cell order exactly like the old engine, so traced grid runs stay
-  deterministic.  Cached cells store their worker snapshot in the
+  cell order, so traced grid runs stay deterministic (uncached, they
+  equal a serial run's).  Cached cells store their worker snapshot in the
   cache (JSONL-export schema), so a resumed run under a tracer merges
   the same per-cell event streams a fresh run would produce (modulo
   JSON's tuple/list conflation in event fields — the documented export
@@ -73,16 +75,15 @@ Typical use::
     result.records          # one RunRecord per (heuristic, instance), grid order
     result.cached_cells     # how many cells were served from cache
 
-The ``repro run-grid`` CLI subcommand wraps this engine end to end.
+Pooled runs pickle the config: pass heuristic kwargs as plain values,
+not live generators.  ``repro run-grid`` wraps this engine end to end.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import pickle
-import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -99,10 +100,11 @@ from repro.analysis.experiments import (
     run_record_from_dict,
     run_record_to_dict,
 )
-from repro.analysis.parallel import split_into_cells
 from repro.etc.generation import DEFAULT_STREAM_WINDOW, generate_ensemble_into
 from repro.etc.store import ETCStore
 from repro.exceptions import ConfigurationError, ReproError
+from repro.jsonstore import read_entry, write_json_atomic
+from repro.obs.export import records_to_snapshot, snapshot_to_jsonl
 from repro.obs.metrics import BYTE_BUCKETS, TIME_BUCKETS
 from repro.obs.progress import NULL_PROGRESS
 from repro.obs.spans import SpanContext
@@ -121,6 +123,7 @@ __all__ = [
     "cell_key",
     "cell_label",
     "store_entry_key",
+    "split_into_cells",
     "split_into_shards",
     "pack_same_shape_batches",
     "CellCache",
@@ -250,6 +253,21 @@ def _run_cell_from_store(
     return run_experiment(config, instances_for=instances_for)
 
 
+def split_into_cells(config: ExperimentConfig) -> list[ExperimentConfig]:
+    """One sub-config per (heterogeneity, consistency) cell.
+
+    Because per-cell seed streams are keyed by the cell's own labels
+    (not by grid position), each sub-config reproduces exactly the
+    records the full grid would produce for that cell.  An empty grid
+    (no heterogeneities or no consistencies) yields no cells.
+    """
+    return [
+        replace(config, heterogeneities=(het,), consistencies=(cons,))
+        for het in config.heterogeneities
+        for cons in config.consistencies
+    ]
+
+
 def split_into_shards(cells: list, num_shards: int) -> list[list]:
     """Round-robin partition of ``cells`` into at most ``num_shards``
     shards.
@@ -300,19 +318,11 @@ def pack_same_shape_batches(cells: list, batch_size: int, *, key=None) -> list[l
 # ----------------------------------------------------------------------
 def _snapshot_to_records(snapshot: ObsSnapshot) -> list[dict]:
     """Snapshot → parsed JSONL-export records (the cacheable form)."""
-    from repro.obs.export import snapshot_to_jsonl
-
     return [
         json.loads(line)
         for line in snapshot_to_jsonl(snapshot).splitlines()
         if line
     ]
-
-
-def _records_to_snapshot(records: list[dict]) -> ObsSnapshot:
-    from repro.obs.export import records_to_snapshot
-
-    return records_to_snapshot(records)
 
 
 @dataclass(frozen=True)
@@ -328,9 +338,10 @@ class CellCache:
     """Content-addressed cell store under one directory.
 
     Entries are ``<key>.json`` (``repro-cell/1``); quarantined cells
-    leave a ``<key>.poison.json`` marker instead.  All writes are
-    atomic (temp file + ``os.replace``), so an interrupted run can
-    never leave a torn entry for ``resume`` to trip over.
+    leave a ``<key>.poison.json`` marker instead.  Both are written and
+    read through :mod:`repro.jsonstore` (canonical JSON, temp file +
+    atomic rename), so an interrupted run can never leave a torn entry
+    for ``resume`` to trip over.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
@@ -341,21 +352,6 @@ class CellCache:
 
     def poison_path_for(self, key: str) -> Path:
         return self.root / f"{key}.poison.json"
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def store(
         self,
@@ -382,45 +378,38 @@ class CellCache:
             "records": [run_record_to_dict(r) for r in records],
             "obs": _snapshot_to_records(snapshot) if snapshot is not None else None,
         }
-        path = self.path_for(key)
-        self._atomic_write(path, payload)
-        return path
+        return write_json_atomic(self.path_for(key), payload)
 
     def load(self, key: str, *, need_obs: bool = False) -> CellEntry | None:
         """The cached entry for ``key``, or ``None`` on a miss.
 
         ``need_obs=True`` (a tracer is installed) additionally treats
         entries cached from an *untraced* run as misses, since they
-        cannot replay the cell's event stream.
+        cannot replay the cell's event stream.  A malformed entry
+        raises :class:`ConfigurationError`.
         """
-        path = self.path_for(key)
-        if not path.is_file():
+        payload = read_entry(
+            self.path_for(key),
+            schema=CELL_SCHEMA,
+            key=key,
+            fields=("records",),
+            what="cell cache entry",
+        )
+        if payload is None:
             return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as exc:
-            raise ConfigurationError(
-                f"unreadable cell cache entry {path} ({exc}); delete it to recompute"
-            ) from None
-        if payload.get("schema") != CELL_SCHEMA or payload.get("key") != key:
-            raise ConfigurationError(
-                f"{path}: not a {CELL_SCHEMA} entry for key {key[:12]}…; "
-                "delete it to recompute"
-            )
         obs = payload.get("obs")
         if need_obs and obs is None:
             return None
         return CellEntry(
             key=key,
             records=tuple(run_record_from_dict(d) for d in payload["records"]),
-            snapshot=_records_to_snapshot(obs) if obs is not None else None,
+            snapshot=records_to_snapshot(obs) if obs is not None else None,
         )
 
     def poison(self, key: str, config: ExperimentConfig, error: str, attempts: int) -> Path:
         """Mark a cell quarantined so ``resume`` skips it."""
-        path = self.poison_path_for(key)
-        self._atomic_write(
-            path,
+        return write_json_atomic(
+            self.poison_path_for(key),
             {
                 "schema": POISON_SCHEMA,
                 "key": key,
@@ -429,7 +418,6 @@ class CellCache:
                 "attempts": attempts,
             },
         )
-        return path
 
     def is_poisoned(self, key: str) -> bool:
         return self.poison_path_for(key).is_file()
@@ -591,8 +579,8 @@ def run_grid(
     order, so the output is bit-identical to a serial
     :func:`~repro.analysis.experiments.run_experiment` run.
 
-    ``cache_dir=None`` disables persistence entirely (the legacy
-    one-shot behaviour); with a cache directory, every completed cell
+    ``cache_dir=None`` disables persistence entirely (a one-shot run
+    with no side effects); with a cache directory, every completed cell
     is persisted as it finishes and ``resume=True`` serves previously
     completed cells from cache.  ``shards`` controls the round-robin
     interleaving of the submission queue (default: one shard per
@@ -609,8 +597,7 @@ def run_grid(
     * ``"quarantine"`` (default) — poison the cell (when a cache is
       configured), continue with the rest of the grid, and report it
       in :attr:`GridResult.quarantined`;
-    * ``"raise"`` — re-raise the cell's original exception, matching
-      the legacy ``run_experiment_parallel`` contract.
+    * ``"raise"`` — re-raise the cell's original exception.
 
     ``store_dir`` switches cell inputs onto the zero-copy store
     transport (see the module docstring): pending cells' ensembles are
@@ -668,9 +655,9 @@ def run_grid(
     progress = progress if progress is not None else NULL_PROGRESS
     tracer = get_tracer()
     cache = CellCache(cache_dir) if cache_dir is not None else None
-    # The legacy wrapper (no cache) promises byte-identical traced
-    # output vs a serial run, so runner.* counters/histograms are only
-    # emitted when the cache-backed engine is in use.
+    # An uncached run promises byte-identical traced output vs a
+    # serial run, so runner.* counters/histograms are only emitted
+    # when the cache-backed engine is in use.
     count_obs = tracer.enabled and cache is not None
     cells = split_into_cells(config)
     keys = [cell_key(cell) for cell in cells]
@@ -735,7 +722,7 @@ def run_grid(
     store_published = 0
     store_reused = 0
     # One ``runner.grid`` span covers the whole run.  Cache mode only
-    # (``count_obs``) so the legacy wrapper's traced output stays
+    # (``count_obs``) so an uncached run's traced output stays
     # byte-identical; ``phase`` spans never emit events, so the event
     # stream contract holds in cache mode too.  The span's context is
     # shipped to every worker so merged snapshots form one trace tree.
@@ -804,9 +791,8 @@ def run_grid(
             if store_dir is not None:
                 store = ETCStore(store_dir)
                 # Transport-only parent-side counters: excluded from
-                # the byte-identity contract (the legacy no-store
-                # wrapper never emits them), so they are gated only on
-                # the tracer.
+                # the byte-identity contract (a no-store run never
+                # emits them), so they are gated only on the tracer.
                 ipc_obs = tracer.enabled
                 window = (
                     stream_chunk
@@ -896,8 +882,8 @@ def run_grid(
                 pending = [work for unit in units for work in unit.works]
                 # Isolate per-cell collection only when the cache needs
                 # a snapshot to persist; otherwise run under the
-                # caller's tracer directly, exactly like the legacy
-                # serial path.
+                # caller's tracer directly, exactly like a serial
+                # run_experiment.
                 isolate = cache is not None and tracer.enabled
                 for work in pending:
                     while True:

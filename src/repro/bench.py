@@ -273,75 +273,6 @@ def _batched_greedy_workload(options: BenchOptions):
     return run, run_reference
 
 
-def _cell_cost(values) -> float:
-    """Cheap whole-payload reduction standing in for cell compute.
-
-    Touches every element exactly once (per-task best completion time,
-    summed), so both transport variants pay identical compute and the
-    measured gap is transport alone.
-    """
-    return float(values.min(axis=2).sum())
-
-
-def _shm_cell_cost(descriptor) -> float:
-    """Pool worker for the shm variant: attach by name, reduce."""
-    from repro.analysis.parallel import attach_shared
-
-    return _cell_cost(attach_shared(descriptor))
-
-
-def _pickled_cell_cost(values) -> float:
-    """Pool worker for the reference variant: the array itself crossed
-    the pipe (pickled on submit, unpickled here)."""
-    return _cell_cost(values)
-
-
-def _shm_grid_workload(options: BenchOptions):
-    """Zero-copy shm fan-out vs pickling the same payloads to the pool.
-
-    ``build`` generates one ETC-scale stack per grid cell (64 cells of
-    24×256×32 full, 8 cells of 4×32×8 smoke), publishes every stack
-    into POSIX shared memory once (:class:`SharedMemoryArena`), and
-    starts a process pool shared by both thunks.  The optimised thunk
-    fans out :class:`ShmDescriptor` handles (tens of bytes each;
-    workers attach the published pages and cache the attachment); the
-    reference thunk submits the arrays themselves, paying
-    pickle + pipe + unpickle per cell.  Same pool, same worker count,
-    same reduction — the speedup column isolates the transport.
-    """
-    import atexit
-    from concurrent.futures import ProcessPoolExecutor
-
-    import numpy as np
-
-    from repro.analysis.parallel import SharedMemoryArena
-
-    # Per-cell payloads are sized so transport (pickle + pipe vs a
-    # descriptor handoff) dominates the worker's reduction even in
-    # smoke mode — 1 MiB/cell smoke, 1.5 MiB/cell full.
-    if options.smoke:
-        cells, workers, shape = 8, 2, (16, 256, 32)
-    else:
-        cells, workers, shape = 64, 8, (24, 256, 32)
-    rng = np.random.default_rng(_ETC_SEED)
-    payloads = [
-        rng.uniform(1.0, 3000.0, size=shape) for _ in range(cells)
-    ]
-    arena = SharedMemoryArena()
-    atexit.register(arena.close)
-    descriptors = [arena.publish(values) for values in payloads]
-    pool = ProcessPoolExecutor(max_workers=workers)
-    atexit.register(pool.shutdown)
-
-    def run():
-        return [r for r in pool.map(_shm_cell_cost, descriptors)]
-
-    def run_reference():
-        return [r for r in pool.map(_pickled_cell_cost, payloads)]
-
-    return run, run_reference
-
-
 #: Streamed-generation memory budget: the streamed path must stay under
 #: ``baseline + payload/2`` while the payload itself exceeds that budget
 #: — so finishing under budget is impossible for a path that
@@ -763,13 +694,6 @@ WORKLOADS: tuple[Workload, ...] = (
         "16 machines (8 of 32x8 in smoke mode), vs looping the "
         "single-instance kernel (the reference variant)",
         _batched_greedy_workload,
-    ),
-    Workload(
-        "shm-grid",
-        "Shared-memory descriptor fan-out of 64 grid-cell payloads to an "
-        "8-worker pool (8 cells / 2 workers in smoke mode) vs pickling "
-        "the same arrays through the pool pipes (the reference variant)",
-        _shm_grid_workload,
     ),
     Workload(
         "tracing-overhead",

@@ -35,6 +35,7 @@ resumable cached runner (see :mod:`repro.analysis.runner`).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -143,33 +144,35 @@ def _maybe_collect(enabled: bool):
 def _runner_run_fn(args: argparse.Namespace):
     """The per-config executor for study/export: cached runner or ``None``.
 
-    Returns ``None`` when no runner option was given, so callers keep
-    the exact legacy execution path; otherwise a ``config -> records``
+    Returns ``None`` when no runner option was given (``study`` then
+    keeps its in-process path); otherwise a ``config -> records``
     callable routed through :func:`repro.analysis.runner.run_grid`
     with the requested cache/resume/shard settings (``--resume`` alone
     implies the default cache directory).
     """
     if args.cache_dir is None and not args.resume and args.shards is None:
         return None
-    from repro.analysis.runner import DEFAULT_CACHE_DIR, run_grid
+    from repro.analysis.runner import DEFAULT_CACHE_DIR
 
     cache_dir = args.cache_dir if args.cache_dir is not None else (
         DEFAULT_CACHE_DIR if args.resume else None
     )
+    return functools.partial(
+        _grid_records,
+        max_workers=getattr(args, "workers", None),
+        cache_dir=cache_dir,
+        resume=args.resume,
+        shards=args.shards,
+        batch_size=getattr(args, "batch_size", None),
+        on_error="raise",
+    )
 
-    def run_fn(config):
-        result = run_grid(
-            config,
-            max_workers=getattr(args, "workers", None),
-            cache_dir=cache_dir,
-            resume=args.resume,
-            shards=args.shards,
-            batch_size=getattr(args, "batch_size", None),
-            on_error="raise",
-        )
-        return list(result.records)
 
-    return run_fn
+def _grid_records(config, **run_grid_kwargs) -> list:
+    """``run_grid(config, **run_grid_kwargs)``'s records, as a list."""
+    from repro.analysis.runner import run_grid
+
+    return list(run_grid(config, **run_grid_kwargs).records)
 
 
 # ----------------------------------------------------------------------
@@ -587,7 +590,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     """Run an experiment grid and write per-run records to CSV/JSON."""
     from repro.analysis.experiments import ExperimentConfig
     from repro.analysis.export import run_records_to_rows, write_csv, write_json
-    from repro.analysis.parallel import run_experiment_parallel
     from repro.obs.progress import make_progress
 
     started = time.perf_counter()
@@ -603,16 +605,17 @@ def cmd_export(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
     )
-    run_fn = _runner_run_fn(args)
+    # Without a runner option: one uncached pass over the grid.
+    run_fn = _runner_run_fn(args) or functools.partial(
+        _grid_records,
+        max_workers=args.workers,
+        progress=make_progress(args.progress, label="cells"),
+        cache_dir=None,
+        retries=0,
+        on_error="raise",
+    )
     with _maybe_collect(args.append_ledger) as tracer:
-        if run_fn is not None:
-            records = run_fn(config)
-        else:
-            records = run_experiment_parallel(
-                config,
-                max_workers=args.workers,
-                progress=make_progress(args.progress, label="cells"),
-            )
+        records = run_fn(config)
     rows = run_records_to_rows(records)
     if args.output.endswith(".json"):
         write_json(rows, args.output)

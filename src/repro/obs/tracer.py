@@ -25,9 +25,9 @@ apart (asserted by the property suite).  Decision-level instrumentation
 additionally increments the shared ``decisions`` counter.
 
 Snapshots (:class:`ObsSnapshot`) are plain picklable dataclasses; the
-parallel experiment runner ships one per worker process back to the
+experiment grid runner ships one per worker process back to the
 parent and merges them **in cell order**, which makes the merged stream
-bit-identical to a serial run (see :mod:`repro.analysis.parallel`).
+bit-identical to a serial run (see :mod:`repro.analysis.runner`).
 """
 
 from __future__ import annotations

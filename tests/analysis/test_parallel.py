@@ -1,11 +1,18 @@
-"""Unit tests for the parallel experiment runner."""
+"""Uncached process-pool runs of the grid runner equal the serial run."""
 
 import pytest
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import run_experiment_parallel, split_into_cells
+from repro.analysis.runner import run_grid, split_into_cells
 from repro.etc.generation import Consistency, Heterogeneity
 from repro.exceptions import ConfigurationError
+
+
+def _pooled(config, max_workers):
+    """One uncached pass over the grid (a failing cell re-raises)."""
+    return run_grid(
+        config, max_workers=max_workers, cache_dir=None, retries=0, on_error="raise"
+    ).records
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +53,7 @@ class TestSplit:
 class TestParallel:
     def test_parallel_equals_serial(self, grid_config):
         serial = run_experiment(grid_config)
-        parallel = run_experiment_parallel(grid_config, max_workers=2)
+        parallel = _pooled(grid_config, max_workers=2)
         assert len(parallel) == len(serial)
         assert [r.comparison for r in parallel] == [r.comparison for r in serial]
         assert [(r.heuristic, r.etc_class, r.instance_index) for r in parallel] == [
@@ -58,12 +65,12 @@ class TestParallel:
             heuristics=("mct",), num_tasks=6, num_machines=3,
             instances_per_cell=2, seed=1,
         )
-        assert len(run_experiment_parallel(config, max_workers=4)) == 2
+        assert len(_pooled(config, max_workers=4)) == 2
 
     def test_workers_validation(self, grid_config):
         with pytest.raises(ConfigurationError):
-            run_experiment_parallel(grid_config, max_workers=0)
+            _pooled(grid_config, max_workers=0)
 
     def test_explicit_single_worker_runs_serially(self, grid_config):
-        out = run_experiment_parallel(grid_config, max_workers=1)
+        out = _pooled(grid_config, max_workers=1)
         assert len(out) == len(run_experiment(grid_config))

@@ -13,12 +13,12 @@ from repro.analysis.experiments import (
     run_record_from_dict,
     run_record_to_dict,
 )
-from repro.analysis.parallel import split_into_cells
 from repro.analysis.runner import (
     CellCache,
     cell_key,
     pack_same_shape_batches,
     run_grid,
+    split_into_cells,
     split_into_shards,
 )
 from repro.etc.generation import Consistency, Heterogeneity
@@ -170,6 +170,27 @@ class TestCellCache:
         cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         cache.path_for(key).write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigurationError):
+            cache.load(key)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "42", '"entry"'])
+    def test_non_object_entry_raises(self, tmp_path, text):
+        config = _single_cell_config()
+        cache = CellCache(tmp_path)
+        key = cell_key(config)
+        cache.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="delete it to recompute"):
+            cache.load(key)
+
+    def test_entry_without_records_raises(self, tmp_path):
+        config = _single_cell_config()
+        cache = CellCache(tmp_path)
+        key = cell_key(config)
+        path = cache.store(key, config, run_experiment(config), None)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["records"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="delete it to recompute"):
             cache.load(key)
 
     def test_poison_lifecycle(self, tmp_path):

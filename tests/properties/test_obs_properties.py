@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentConfig, run_experiment
-from repro.analysis.parallel import run_experiment_parallel
+from repro.analysis.runner import run_grid
 from repro.core.iterative import IterativeScheduler
 from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
 from repro.etc.generation import Consistency, Heterogeneity
@@ -133,6 +133,18 @@ def grid_config():
     )
 
 
+def _pooled(config, max_workers, progress=None):
+    """One uncached process-pool pass over the grid."""
+    return run_grid(
+        config,
+        max_workers=max_workers,
+        progress=progress,
+        cache_dir=None,
+        retries=0,
+        on_error="raise",
+    ).records
+
+
 class TestParallelMerge:
     """Worker-collected snapshots merge to the serial aggregates."""
 
@@ -143,7 +155,7 @@ class TestParallelMerge:
 
     def _parallel(self, config, max_workers=2):
         with use_tracer(CollectingTracer()) as tracer:
-            records = run_experiment_parallel(config, max_workers=max_workers)
+            records = _pooled(config, max_workers=max_workers)
         return records, tracer
 
     def test_merged_counters_equal_serial(self, grid_config):
@@ -176,7 +188,7 @@ class TestParallelMerge:
             assert parallel_timers[name].count == stat.count
 
     def test_disabled_tracer_takes_untraced_path(self, grid_config):
-        records = run_experiment_parallel(grid_config, max_workers=2)
+        records = _pooled(grid_config, max_workers=2)
         serial_records, _ = self._serial(grid_config)
         assert [r.comparison for r in records] == [
             r.comparison for r in serial_records
@@ -216,7 +228,7 @@ class TestParallelMerge:
         _, serial = self._serial(grid_config)
         stream = io.StringIO()
         with use_tracer(CollectingTracer()) as parallel:
-            run_experiment_parallel(
+            _pooled(
                 grid_config,
                 max_workers=2,
                 progress=ProgressReporter(stream=stream, label="cells"),

@@ -1,9 +1,9 @@
 """Atomic persistence contracts of the content-addressed response cache.
 
-Mirrors the runner's cell-cache guarantees: entries land via temp file
-+ ``os.replace`` so a crashed or concurrent writer can never leave a
-torn entry, and corrupt/foreign files fail loudly instead of serving
-garbage.
+Shares the runner's cell-cache store (:mod:`repro.jsonstore`): entries
+land via temp file + ``os.replace`` so a crashed or concurrent writer
+can never leave a torn entry, and corrupt/foreign files fail loudly
+instead of serving garbage.
 """
 
 from __future__ import annotations
@@ -71,6 +71,24 @@ def test_wrong_schema_entry_fails_loudly(tmp_path):
     payload = json.loads(cache.path_for("k0").read_text())
     payload["schema"] = "something-else/1"
     cache.path_for("k0").write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match="delete it to recompute"):
+        cache.load("k0")
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "42", '"entry"'])
+def test_non_object_entry_fails_loudly(tmp_path, text):
+    cache = ResponseCache(tmp_path)
+    cache.path_for("k0").write_text(text)
+    with pytest.raises(ConfigurationError, match="delete it to recompute"):
+        cache.load("k0")
+
+
+def test_entry_without_result_fails_loudly(tmp_path):
+    cache = ResponseCache(tmp_path)
+    path = cache.store("k0", IDENTITY, RESULT)
+    payload = json.loads(path.read_text())
+    del payload["result"]
+    path.write_text(json.dumps(payload))
     with pytest.raises(ConfigurationError, match="delete it to recompute"):
         cache.load("k0")
 

@@ -159,6 +159,36 @@ class TestCliSubcommands:
         assert check_docs.check_cli_subcommands(REPO_ROOT, files) == []
 
 
+class TestApiTable:
+    API = (
+        "## `repro.analysis`\n\n"
+        "| name | role |\n|---|---|\n"
+        "| `run_grid`, `format_*_table`, `experiments.config_to_dict` | ok |\n"
+        "| `run_experiment_parallel`, `config_to_dict` | stale | `x` |\n\n"
+        "## `repro.obs`\n\n"
+        "| `use_tracer`, `fingerprint` | half stale |\n\n"
+        "## CLI\n\n"
+        "| `not_a_module_section` | skipped |\n"
+    )
+
+    def test_stale_names_reported(self, tmp_path):
+        (tmp_path / "src").symlink_to(REPO_ROOT / "src")
+        _write(tmp_path, "docs/api.md", self.API)
+        assert check_docs.check_api_table(tmp_path) == [
+            "docs/api.md: `run_experiment_parallel` is not an attribute of "
+            "repro.analysis",
+            "docs/api.md: `config_to_dict` is not an attribute of repro.analysis",
+            "docs/api.md: `fingerprint` is not an attribute of repro.obs",
+        ]
+
+    def test_fabricated_repo_without_sources_skips(self, tmp_path):
+        _write(tmp_path, "docs/api.md", self.API)
+        assert check_docs.check_api_table(tmp_path) == []
+
+    def test_real_api_table_resolves(self):
+        assert check_docs.check_api_table(REPO_ROOT) == []
+
+
 class TestEndToEnd:
     def test_real_repo_is_consistent(self):
         assert check_docs.run_checks(REPO_ROOT) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (zero dependencies).
 
-Three checks over ``docs/`` and ``README.md``, wired into ``make lint``
+Five checks over ``docs/`` and ``README.md``, wired into ``make lint``
 and CI so the docs cannot silently rot as the code moves:
 
 1. **Dead relative links** — every relative markdown link target
@@ -21,6 +21,12 @@ and CI so the docs cannot silently rot as the code moves:
    must name a real subcommand of the live argument parser (nested
    groups like ``repro obs <sub>`` included), so a renamed or removed
    command cannot survive in a quickstart.
+5. **Stale API table names** — every backticked name in the first
+   column of a ``docs/api.md`` table must be an attribute of the
+   module its section heading names (``## `repro.analysis` ``), so a
+   deleted or moved name cannot survive in the API overview.  Dotted
+   names (``experiments.config_to_dict``) resolve attribute by
+   attribute; wildcards such as ``format_*_table`` are skipped.
 
 Usage::
 
@@ -55,6 +61,12 @@ _CLI_RE = re.compile(
     r"(?:python -m repro|\$ repro|`repro)\s+"
     r"([a-z][a-z0-9-]*)(?:\s+([a-z][a-z0-9-]*))?"
 )
+
+#: ``docs/api.md`` section heading naming a module: ``## `repro.x` ``.
+_API_SECTION_RE = re.compile(r"^##\s+`(repro(?:\.[a-z_][a-z0-9_]*)*)`")
+
+#: A checkable API-table name: an identifier, optionally dotted.
+_API_NAME_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 #: Files whose links/references are checked.
 _DOC_GLOBS = ("docs/*.md",)
@@ -257,13 +269,37 @@ def check_cli_subcommands(
     return problems
 
 
+def check_api_table(root: Path) -> list[str]:
+    """``docs/api.md`` table names missing from their section's module."""
+    api = root / "docs" / "api.md"
+    if not api.is_file() or not (root / "src" / "repro").is_dir():
+        return []
+    problems = []
+    module = None
+    for line in api.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            match = _API_SECTION_RE.match(line)
+            module = match.group(1) if match else None
+        elif module is not None and line.startswith("|"):
+            first_column = line.split("|")[1]
+            for name in re.findall(r"`([^`]*)`", first_column):
+                if _API_NAME_RE.fullmatch(name) and not _resolve_attrs(
+                    root, module, name.split(".")
+                ):
+                    problems.append(
+                        f"docs/api.md: `{name}` is not an attribute of {module}"
+                    )
+    return problems
+
+
 def run_checks(root: Path) -> list[str]:
-    """All problems across the four checks (empty = consistent docs)."""
+    """All problems across the five checks (empty = consistent docs)."""
     files = doc_files(root)
     problems = check_links(root, files)
     problems += check_module_references(root, files)
     problems += check_index_reachability(root)
     problems += check_cli_subcommands(root, files)
+    problems += check_api_table(root)
     return problems
 
 
