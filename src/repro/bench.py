@@ -37,6 +37,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
+from repro.heuristics.backends import DEFAULT_BACKEND
 
 __all__ = [
     "SCHEMA",
@@ -73,26 +74,15 @@ DEFAULT_REPEATS = 5
 
 _FULL_SHAPE = (512, 32)
 _SMOKE_SHAPE = (64, 8)
-_BATCH_SHAPE = (128, 16)
-_BATCH_SMOKE_SHAPE = (32, 8)
-_SMOKE_BATCH = 8
-DEFAULT_BATCH = 64
 _ETC_SEED = 20070612  # fixed: every run times the same instance
 
 
 @dataclass(frozen=True)
 class BenchOptions:
-    """Knobs a :class:`Workload` build receives.
-
-    ``backend=None`` means each workload's historical default (the
-    batched workload uses the ``batched`` backend, the mapper workloads
-    the incremental kernels), so reports stay comparable run to run
-    unless a backend is chosen deliberately.
-    """
+    """Knobs a :class:`Workload` build receives."""
 
     smoke: bool = False
-    backend: str | None = None
-    batch_size: int = DEFAULT_BATCH
+    backend: str = DEFAULT_BACKEND
 
 
 def _bench_etc(smoke: bool):
@@ -135,7 +125,7 @@ def _mapper_workload(heuristic_factory) -> Callable:
         etc = _bench_etc(options.smoke)
         # These workloads time a *fixed* kernel pair (incremental vs
         # reference) so their speedup column stays meaningful; the
-        # backend knob drives the experiment/batched workloads instead.
+        # backend knob drives the experiment workload instead.
         def run():
             return heuristic_factory(incremental=True).map_tasks(
                 etc, tie_breaker=DeterministicTieBreaker()
@@ -178,7 +168,7 @@ def _experiment_workload(options: BenchOptions):
         num_machines=4 if smoke else 8,
         instances_per_cell=1 if smoke else 3,
         seed=_ETC_SEED,
-        backend=options.backend or "incremental",
+        backend=options.backend,
     )
 
     def run():
@@ -224,51 +214,6 @@ def _cached_grid_workload(options: BenchOptions):
 
     def run_reference():
         return run_grid(config, max_workers=1, cache_dir=None)
-
-    return run, run_reference
-
-
-def _batched_greedy_workload(options: BenchOptions):
-    """Stacked batched Min-Min vs looping the single-instance kernel.
-
-    The optimised thunk maps one :class:`~repro.etc.batch.ETCBatch`
-    (``batch_size`` instances, 128×16 full / 32×8 smoke) through the
-    batched backend's 3-D kernel; the reference thunk loops the
-    incremental single-instance kernel over the same matrices.  The
-    speedup column is the direct measure of the batch-axis
-    vectorisation (the two paths are decision-identical, enforced by
-    the equivalence battery).
-    """
-    from repro.etc.batch import ETCBatch
-    from repro.etc.generation import (
-        Consistency,
-        Heterogeneity,
-        generate_range_based,
-    )
-    from repro.heuristics.backends import get_backend
-    from repro.heuristics.minmin import MinMin
-
-    tasks, machines = _BATCH_SMOKE_SHAPE if options.smoke else _BATCH_SHAPE
-    size = min(options.batch_size, _SMOKE_BATCH) if options.smoke else options.batch_size
-    matrices = [
-        generate_range_based(
-            tasks,
-            machines,
-            Heterogeneity.HIHI,
-            Consistency.INCONSISTENT,
-            rng=_ETC_SEED + i,
-        )
-        for i in range(size)
-    ]
-    batch = ETCBatch.from_matrices(matrices)
-    backend = get_backend(options.backend or "batched")
-
-    def run():
-        return backend.map_batch("min-min", batch, nominal_size=size).makespans()
-
-    def run_reference():
-        mapper = MinMin(incremental=True)
-        return [mapper.map_tasks(etc).makespan() for etc in matrices]
 
     return run, run_reference
 
@@ -689,13 +634,6 @@ WORKLOADS: tuple[Workload, ...] = (
         _cached_grid_workload,
     ),
     Workload(
-        "batched-greedy",
-        "Min-Min over a stacked batch of 64 ETC instances, 128 tasks x "
-        "16 machines (8 of 32x8 in smoke mode), vs looping the "
-        "single-instance kernel (the reference variant)",
-        _batched_greedy_workload,
-    ),
-    Workload(
         "tracing-overhead",
         "Iterative 512x32 run under a live CollectingTracer vs the null "
         "tracer (the reference variant); fails the bench when the "
@@ -774,8 +712,7 @@ def run_bench(
     repeats: int = DEFAULT_REPEATS,
     with_reference: bool = True,
     only: Sequence[str] | None = None,
-    backend: str | None = None,
-    batch_size: int = DEFAULT_BATCH,
+    backend: str = DEFAULT_BACKEND,
     profile: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
@@ -784,19 +721,17 @@ def run_bench(
     ``only`` restricts the run to a subset of workload names;
     ``with_reference=False`` skips the pre-optimisation variants (halves
     runtime, but the report then carries no speedup figures);
-    ``backend`` / ``batch_size`` reach the workload builds as
-    :class:`BenchOptions`; ``profile=N`` additionally runs each
-    optimised thunk once under :mod:`cProfile` after timing and stores
-    the top-``N`` cumulative entries in the workload's ``profile``
-    field; ``progress`` receives one line per finished workload.
+    ``backend`` reaches the workload builds as :class:`BenchOptions`;
+    ``profile=N`` additionally runs each optimised thunk once under
+    :mod:`cProfile` after timing and stores the top-``N`` cumulative
+    entries in the workload's ``profile`` field; ``progress`` receives
+    one line per finished workload.
     """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if profile is not None and profile < 1:
         raise ConfigurationError(f"profile must be >= 1, got {profile}")
-    options = BenchOptions(smoke=smoke, backend=backend, batch_size=batch_size)
+    options = BenchOptions(smoke=smoke, backend=backend)
     selected = WORKLOADS
     if only is not None:
         known = {w.name: w for w in WORKLOADS}

@@ -163,7 +163,6 @@ def _runner_run_fn(args: argparse.Namespace):
         cache_dir=cache_dir,
         resume=args.resume,
         shards=args.shards,
-        batch_size=getattr(args, "batch_size", None),
         on_error="raise",
     )
 
@@ -704,7 +703,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
             resume=args.resume,
             shards=args.shards,
-            batch_size=args.batch_size,
             timeout_s=args.timeout,
             retries=args.retries,
             store_dir=args.store_dir,
@@ -803,7 +801,6 @@ def cmd_run_grid(args: argparse.Namespace) -> int:
                 "seeded": args.seeded,
                 "workers": args.workers,
                 "shards": args.shards,
-                "batch_size": args.batch_size,
                 "backend": args.backend,
                 "cache_dir": cache_dir,
                 "resume": args.resume,
@@ -1319,7 +1316,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         with_reference=not args.no_reference,
         only=args.workloads.split(",") if args.workloads else None,
         backend=args.backend,
-        batch_size=args.batch_size,
         profile=args.profile,
         progress=lambda line: print(line, file=sys.stderr),
     )
@@ -1349,7 +1345,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "with_reference": not args.no_reference,
                 "workloads": args.workloads,
                 "backend": args.backend,
-                "batch_size": args.batch_size,
             },
             metrics=metrics,
             extra={"bench_report": report},
@@ -1534,7 +1529,6 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     from repro.analysis.runner import DEFAULT_CACHE_DIR
-    from repro.bench import DEFAULT_BATCH
     from repro.heuristics.backends import DEFAULT_BACKEND, backend_names
     from repro.obs.ledger import DEFAULT_LEDGER_PATH
 
@@ -1587,10 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_BACKEND,
                        help="kernel backend (decision-identical; default: "
                             "%(default)s)")
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="pack same-shape grid cells into submission "
-                            "batches of this size (default: one cell per "
-                            "submission)")
 
     def add_faults(p):
         from repro.sim.hcsystem import RECOVERY_POLICIES
@@ -1741,7 +1731,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="process count for pooled execution")
     rg.add_argument("--timeout", type=float, default=None,
                     help="per-cell wall-clock timeout in seconds "
-                         "(pooled mode)")
+                         "(ignored with --workers 1)")
     rg.add_argument("--retries", type=int, default=1,
                     help="re-attempts per failing/timed-out cell before "
                          "it is quarantined (default: %(default)s)")
@@ -1961,11 +1951,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list restricting which workloads run")
     b.add_argument("--list", action="store_true", dest="list_workloads",
                    help="list the registered workloads and exit")
-    b.add_argument("--backend", choices=backend_names(), default=None,
+    b.add_argument("--backend", choices=backend_names(),
+                   default=DEFAULT_BACKEND,
                    help="kernel backend for the backend-aware workloads "
-                        "(default: each workload's historical default)")
-    b.add_argument("--batch-size", type=int, default=DEFAULT_BATCH,
-                   help="batch size for the batched-greedy workload "
                         "(default: %(default)s)")
     b.add_argument("--baseline",
                    help="bench JSON to compare against (exit 1 on regression)")

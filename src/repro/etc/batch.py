@@ -1,13 +1,11 @@
 """Stacked batches of same-shape ETC matrices.
 
-The paper's evaluation — and any production deployment of the iterative
-technique — maps *fleets* of independent ETC instances, not one matrix
-at a time.  :class:`ETCBatch` stores N same-shape instances as one
-C-contiguous ``(batch, tasks, machines)`` float64 block so the batched
-kernels in :mod:`repro.heuristics.batched` can process every instance in
-a single stacked 3-D numpy pass, while :meth:`ETCBatch.instance` hands
-back zero-copy :class:`~repro.etc.matrix.ETCMatrix` views for any code
-that still wants the single-instance API.
+The paper's evaluation maps *fleets* of independent ETC instances, not
+one matrix at a time.  :class:`ETCBatch` stores N same-shape instances
+as one C-contiguous ``(batch, tasks, machines)`` float64 block — the
+view :meth:`repro.etc.store.ETCStore.batch` hands out over a memmapped
+ensemble — while :meth:`ETCBatch.instance` hands back zero-copy
+:class:`~repro.etc.matrix.ETCMatrix` views for the single-instance API.
 """
 
 from __future__ import annotations
@@ -79,40 +77,6 @@ class ETCBatch:
             if machines is None
             else _check_labels(machines, "machine", num_machines)
         )
-
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[ETCMatrix]) -> "ETCBatch":
-        """Stack already-validated matrices (one ``np.stack`` copy).
-
-        Every matrix must have the same shape *and* the same labels —
-        a batch is a fleet of instances of one scheduling problem
-        family, so decisions (task/machine indices) are comparable
-        across the batch.
-        """
-        matrices = list(matrices)
-        if not matrices:
-            raise ETCShapeError("cannot build an ETC batch from zero matrices")
-        first = matrices[0]
-        for matrix in matrices[1:]:
-            if matrix.shape != first.shape:
-                raise ETCShapeError(
-                    f"batch matrices disagree on shape: {matrix.shape} "
-                    f"!= {first.shape}"
-                )
-            if (
-                matrix.tasks != first.tasks
-                or matrix.machines != first.machines
-            ):
-                raise ETCShapeError(
-                    "batch matrices must share task/machine labels"
-                )
-        stacked = np.stack([m.values for m in matrices])
-        self = object.__new__(cls)
-        stacked.setflags(write=False)
-        self._values = stacked
-        self._tasks = first.tasks
-        self._machines = first.machines
-        return self
 
     @classmethod
     def _from_trusted(

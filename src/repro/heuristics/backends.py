@@ -1,16 +1,19 @@
 """Pluggable kernel backends for the heuristic family.
 
-Three kernel generations coexist in this codebase: the *reference*
-implementations that transcribe the paper's figures line by line, the
-*incremental* single-instance kernels of
-:mod:`repro.heuristics.kernels`, and the *batched* stacked 3-D kernels
-of :mod:`repro.heuristics.batched`.  This module gives them one seam: a
-:class:`KernelBackend` builds single-instance heuristics
-(:meth:`KernelBackend.make`) and maps whole batches
-(:meth:`KernelBackend.map_batch`), and a registry resolves backends by
-name — ``reference | incremental | batched`` today, a compiled backend
-tomorrow — so call sites (experiment runner, study pipeline, CLI,
-bench) select kernels without touching heuristic code.
+Two kernel generations coexist in this codebase: the *reference*
+implementations that transcribe the paper's figures line by line, and
+the *incremental* single-instance kernels of
+:mod:`repro.heuristics.kernels`.  This module gives them one seam: a
+:class:`KernelBackend` is a construction policy for single-instance
+heuristics (:meth:`KernelBackend.make`), and a registry resolves
+backends by name — ``reference | incremental`` today, a compiled
+backend tomorrow — so call sites (experiment runner, study pipeline,
+CLI, bench) select kernels without touching heuristic code.
+
+There is no stacked multi-instance path: the iterative technique drops
+the makespan machine and its tasks before each remap, so after the
+first mapping every instance's sub-problem has its own shape.  Map a
+fleet by looping ``get_backend(name).make(heuristic).map_tasks(etc)``.
 
 All backends are *decision-identical*: they differ only in how fast
 they arrive at the same mappings, which the equivalence battery in
@@ -20,16 +23,9 @@ they arrive at the same mappings, which the equivalence battery in
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping as MappingABC
-from collections.abc import Sequence
 
-import numpy as np
-
-from repro.core.ties import TieBreaker
-from repro.etc.batch import ETCBatch
 from repro.exceptions import UnknownBackendError
 from repro.heuristics.base import Heuristic, get_heuristic
-from repro.heuristics.batched import BatchResult, map_batch
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -37,7 +33,6 @@ __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "IncrementalBackend",
-    "BatchedBackend",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -54,7 +49,7 @@ KERNELED_HEURISTICS = frozenset(
 
 
 class KernelBackend(abc.ABC):
-    """One kernel generation: builds heuristics and maps batches."""
+    """One kernel generation: a construction policy for heuristics."""
 
     #: Registry name; set by concrete backends.
     name: str = ""
@@ -62,28 +57,6 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def make(self, heuristic: str, **kwargs) -> Heuristic:
         """Build a single-instance heuristic wired to this backend."""
-
-    def map_batch(
-        self,
-        heuristic: str,
-        batch: ETCBatch,
-        ready_times: MappingABC[str, float] | Sequence[float] | np.ndarray | None = None,
-        tie_breaker: TieBreaker | None = None,
-        *,
-        nominal_size: int | None = None,
-        **kwargs,
-    ) -> BatchResult:
-        """Map every instance of ``batch`` (looped unless overridden)."""
-        return map_batch(
-            heuristic,
-            batch,
-            ready_times,
-            tie_breaker,
-            make=self.make,
-            vectorize=False,
-            nominal_size=nominal_size,
-            **kwargs,
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -107,40 +80,6 @@ class IncrementalBackend(KernelBackend):
 
     def make(self, heuristic: str, **kwargs) -> Heuristic:
         return get_heuristic(heuristic, **kwargs)
-
-
-class BatchedBackend(IncrementalBackend):
-    """Stacked 3-D kernels for batches; incremental for single calls.
-
-    :meth:`map_batch` vectorises across the batch axis when the
-    heuristic has a stacked kernel and the preconditions hold
-    (deterministic ties, no tracer); otherwise it falls back to looping
-    the incremental kernel — recorded by the ``kernels.batch.fallback``
-    counter when a tracer listens.
-    """
-
-    name = "batched"
-
-    def map_batch(
-        self,
-        heuristic: str,
-        batch: ETCBatch,
-        ready_times: MappingABC[str, float] | Sequence[float] | np.ndarray | None = None,
-        tie_breaker: TieBreaker | None = None,
-        *,
-        nominal_size: int | None = None,
-        **kwargs,
-    ) -> BatchResult:
-        return map_batch(
-            heuristic,
-            batch,
-            ready_times,
-            tie_breaker,
-            make=self.make,
-            vectorize=True,
-            nominal_size=nominal_size,
-            **kwargs,
-        )
 
 
 _BACKENDS: dict[str, KernelBackend] = {}
@@ -174,4 +113,3 @@ def backend_names() -> tuple[str, ...]:
 
 register_backend(ReferenceBackend())
 register_backend(IncrementalBackend())
-register_backend(BatchedBackend())

@@ -109,10 +109,10 @@ async def _read_request(reader: asyncio.StreamReader):
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    # ASCII decimal digits only: int() also takes "-1", "+2" and "1_0".
+    if not (length_text.isascii() and length_text.isdigit()):
         return None, None, (400, _error("invalid_request", "bad Content-Length"))
+    length = int(length_text)
     if length > MAX_BODY_BYTES:
         return None, None, (
             413,

@@ -16,7 +16,6 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import (
     CellCache,
     cell_key,
-    pack_same_shape_batches,
     run_grid,
     split_into_cells,
     split_into_shards,
@@ -494,12 +493,10 @@ class TestRunGridTimeseries:
 
 
 class TestTimeouts:
-    def test_timeout_quarantines_slow_cells(self, tmp_path):
-        # Needs >= 2 pending cells: a single cell takes the serial
-        # path, which cannot interrupt a running cell and ignores
-        # timeout_s.
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_timeout_quarantines_slow_cells(self, tmp_path, cells):
         config = _single_cell_config(
-            heterogeneities=(Heterogeneity.HIHI, Heterogeneity.LOLO)
+            heterogeneities=(Heterogeneity.HIHI, Heterogeneity.LOLO)[:cells]
         )
         result = run_grid(
             config,
@@ -510,7 +507,7 @@ class TestTimeouts:
             cell_fn=_sleepy_cell,
         )
         assert not result.ok
-        assert len(result.quarantined) == 2
+        assert len(result.quarantined) == cells
         assert all("timeout" in q.error.lower() for q in result.quarantined)
         assert result.records == ()
 
@@ -522,89 +519,6 @@ def _sleepy_cell(config):
     return run_experiment(config)
 
 
-class TestBatchPacking:
-    def test_homogeneous_grid_chunks_in_order(self, grid_config):
-        cells = split_into_cells(grid_config)
-        batches = pack_same_shape_batches(cells, 3)
-        assert [len(b) for b in batches] == [3, 1]
-        assert [cell for batch in batches for cell in batch] == cells
-
-    def test_mixed_shapes_never_share_a_batch(self):
-        small = _single_cell_config(num_tasks=4)
-        big = _single_cell_config(num_tasks=9)
-        cells = [small, big, small, big, small]
-        batches = pack_same_shape_batches(cells, 2)
-        for batch in batches:
-            shapes = {(c.num_tasks, c.num_machines) for c in batch}
-            assert len(shapes) == 1
-        assert sorted(len(b) for b in batches) == [1, 2, 2]
-
-    def test_batch_size_one_is_singletons(self, grid_config):
-        cells = split_into_cells(grid_config)
-        assert pack_same_shape_batches(cells, 1) == [[c] for c in cells]
-
-    def test_rejects_nonpositive_batch_size(self, grid_config):
-        with pytest.raises(ConfigurationError):
-            pack_same_shape_batches(split_into_cells(grid_config), 0)
-
-    def test_custom_key(self):
-        batches = pack_same_shape_batches(
-            ["aa", "b", "cc"], 2, key=len
-        )
-        assert batches == [["aa", "cc"], ["b"]]
-
-
-class TestRunGridBatched:
-    def test_pooled_batched_matches_serial(self, grid_config, tmp_path):
-        serial = run_experiment(grid_config)
-        result = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=2, batch_size=3
-        )
-        assert list(result.records) == serial
-        assert result.computed_cells == result.total_cells == 4
-
-    def test_serial_batched_matches_serial(self, grid_config, tmp_path):
-        serial = run_experiment(grid_config)
-        result = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=1, batch_size=2
-        )
-        assert list(result.records) == serial
-
-    def test_batched_cache_entries_resume_unbatched(self, grid_config, tmp_path):
-        first = run_grid(
-            grid_config, cache_dir=tmp_path, max_workers=2, batch_size=4
-        )
-        resumed = run_grid(grid_config, cache_dir=tmp_path, resume=True)
-        assert resumed.cached_cells == resumed.total_cells
-        assert resumed.records == first.records
-
-    def test_batch_counters_emitted(self, grid_config, tmp_path):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            run_grid(grid_config, cache_dir=tmp_path, max_workers=1, batch_size=3)
-        counters = tracer.counters.as_dict()
-        assert counters.get("runner.batch.submitted") == 2
-        histograms = tracer.histograms.as_dict()
-        assert histograms.get("runner.batch.size").count == 2
-        assert histograms.get("runner.batch.fill_pct").count == 2
-
-    def test_batched_failure_quarantines_every_cell(self, grid_config, tmp_path):
-        result = run_grid(
-            grid_config,
-            cache_dir=tmp_path,
-            max_workers=2,
-            batch_size=4,
-            retries=0,
-            cell_fn=_failing_cell,
-        )
-        assert len(result.quarantined) == 4
-        assert result.records == ()
-
-    def test_rejects_nonpositive_batch_size(self, grid_config):
-        with pytest.raises(ConfigurationError):
-            run_grid(grid_config, batch_size=0)
-
-
 class TestBackendConfigIdentity:
     def test_default_backend_keeps_legacy_cache_keys(self):
         config = _single_cell_config()
@@ -614,20 +528,18 @@ class TestBackendConfigIdentity:
         )
 
     def test_non_default_backend_is_recorded(self):
-        config = _single_cell_config(backend="batched")
-        assert config_to_dict(config)["backend"] == "batched"
+        config = _single_cell_config(backend="reference")
+        assert config_to_dict(config)["backend"] == "reference"
         assert cell_key(config) != cell_key(_single_cell_config())
 
     def test_unknown_backend_rejected_at_config_time(self):
         from repro.exceptions import UnknownBackendError
 
-        with pytest.raises(UnknownBackendError):
-            _single_cell_config(backend="compiled")
+        for backend in ("compiled", "batched"):
+            with pytest.raises(UnknownBackendError):
+                _single_cell_config(backend=backend)
 
     def test_backend_does_not_change_records(self, grid_config):
         base = run_experiment(grid_config)
-        for backend in ("reference", "batched"):
-            assert (
-                run_experiment(dataclasses.replace(grid_config, backend=backend))
-                == base
-            )
+        reference = dataclasses.replace(grid_config, backend="reference")
+        assert run_experiment(reference) == base

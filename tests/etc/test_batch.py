@@ -1,4 +1,4 @@
-"""ETCBatch: the zero-copy stacked-batch construction layer."""
+"""ETCBatch: the zero-copy stacked-batch view type."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,17 @@ def matrices():
     ]
 
 
+def _stack(matrices):
+    return ETCBatch(
+        np.stack([m.values for m in matrices]),
+        tasks=matrices[0].tasks,
+        machines=matrices[0].machines,
+    )
+
+
 class TestConstruction:
-    def test_from_matrices_stacks_values_and_labels(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+    def test_constructor_adopts_values_and_labels(self, matrices):
+        batch = _stack(matrices)
         assert batch.shape == (3, 2, 2)
         assert len(batch) == 3
         assert batch.num_tasks == 2
@@ -29,27 +37,6 @@ class TestConstruction:
             batch.values, np.stack([m.values for m in matrices])
         )
 
-    def test_etcmatrix_stack_is_the_front_door(self, matrices):
-        batch = ETCMatrix.stack(matrices)
-        assert isinstance(batch, ETCBatch)
-        assert len(batch) == len(matrices)
-
-    def test_from_matrices_rejects_empty(self):
-        with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([])
-
-    def test_from_matrices_rejects_shape_mismatch(self, matrices):
-        odd = ETCMatrix([[1.0, 2.0, 3.0]], tasks=("a",), machines=("x", "y", "z"))
-        with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([*matrices, odd])
-
-    def test_from_matrices_rejects_label_mismatch(self, matrices):
-        relabeled = ETCMatrix(
-            [[1.0, 4.0], [3.0, 2.0]], tasks=("a", "b"), machines=("x", "z")
-        )
-        with pytest.raises(ETCShapeError):
-            ETCBatch.from_matrices([*matrices, relabeled])
-
     def test_raw_constructor_validates_values(self):
         with pytest.raises(ETCShapeError):
             ETCBatch([[1.0, 2.0]])  # 2-D, not 3-D
@@ -59,14 +46,14 @@ class TestConstruction:
             ETCBatch([[[1.0, float("nan")]]])
 
     def test_values_are_read_only(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+        batch = _stack(matrices)
         with pytest.raises(ValueError):
             batch.values[0, 0, 0] = 9.0
 
 
 class TestInstances:
     def test_instance_is_a_zero_copy_view(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+        batch = _stack(matrices)
         inst = batch.instance(1)
         assert isinstance(inst, ETCMatrix)
         assert np.shares_memory(inst.values, batch.values)
@@ -75,7 +62,7 @@ class TestInstances:
         assert inst.tasks == batch.tasks and inst.machines == batch.machines
 
     def test_instance_range_checked(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+        batch = _stack(matrices)
         with pytest.raises(IndexError):
             batch.instance(3)
         with pytest.raises(IndexError):
@@ -83,7 +70,7 @@ class TestInstances:
         assert batch.instance(-1).values[0, 0] == matrices[-1].values[0, 0]
 
     def test_instances_iterates_in_order(self, matrices):
-        batch = ETCBatch.from_matrices(matrices)
+        batch = _stack(matrices)
         for inst, src in zip(batch.instances(), matrices):
             np.testing.assert_array_equal(inst.values, src.values)
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.etc.matrix import ETCMatrix
 from repro.exceptions import UnknownBackendError
 from repro.heuristics.backends import (
     DEFAULT_BACKEND,
     KERNELED_HEURISTICS,
-    BatchedBackend,
     IncrementalBackend,
     KernelBackend,
     ReferenceBackend,
@@ -19,21 +17,11 @@ from repro.heuristics.backends import (
 from repro.heuristics.kpb import KPercentBest
 from repro.heuristics.met import MET
 from repro.heuristics.minmin import MinMin
-from repro.obs.tracer import CollectingTracer, use_tracer
-
-
-@pytest.fixture
-def batch():
-    matrices = [
-        ETCMatrix([[1.0, 4.0, 2.0], [3.0, 2.0, 2.0]]),
-        ETCMatrix([[2.0, 2.0, 5.0], [1.0, 6.0, 3.0]]),
-    ]
-    return ETCMatrix.stack(matrices)
 
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert backend_names() == ("batched", "incremental", "reference")
+        assert backend_names() == ("incremental", "reference")
 
     def test_default_backend_name_is_registered(self):
         assert DEFAULT_BACKEND in backend_names()
@@ -41,12 +29,11 @@ class TestRegistry:
     def test_get_backend_resolves_each_name(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend("incremental"), IncrementalBackend)
-        assert isinstance(get_backend("batched"), BatchedBackend)
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(UnknownBackendError, match="compiled"):
             get_backend("compiled")
-        with pytest.raises(UnknownBackendError, match="batched, incremental"):
+        with pytest.raises(UnknownBackendError, match="incremental, reference"):
             get_backend("nope")
 
     def test_unknown_backend_error_is_key_error(self):
@@ -95,7 +82,6 @@ class TestMake:
 
     def test_incremental_keeps_registry_defaults(self):
         assert get_backend("incremental").make("min-min").incremental is True
-        assert get_backend("batched").make("min-min").incremental is True
 
     def test_make_forwards_kwargs(self):
         heuristic = get_backend("incremental").make("k-percent-best", percent=30.0)
@@ -111,43 +97,3 @@ class TestMake:
     def test_kernel_backend_is_abstract(self):
         with pytest.raises(TypeError):
             KernelBackend()
-
-
-class TestMapBatch:
-    def test_all_backends_map_batches_identically(self, batch):
-        results = [
-            get_backend(name).map_batch("min-min", batch)
-            for name in backend_names()
-        ]
-        expected = [
-            results[0].assignment_tuples(i) for i in range(len(batch))
-        ]
-        for result in results[1:]:
-            assert [
-                result.assignment_tuples(i) for i in range(len(batch))
-            ] == expected
-
-    def test_batched_single_instance_equals_single_kernel(self, batch):
-        result = get_backend("batched").map_batch("min-min", batch)
-        for index in range(len(batch)):
-            mapping = MinMin().map_tasks(batch.instance(index))
-            assert result.assignment_tuples(index) == [
-                (a.task, a.machine, a.start, a.completion, a.order)
-                for a in mapping.assignments
-            ]
-
-    def test_non_batched_backends_count_fallback(self, batch):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            get_backend("incremental").map_batch("min-min", batch)
-        counters = tracer.counters.as_dict()
-        assert counters.get("kernels.batch.requests") == 1
-        assert counters.get("kernels.batch.fallback") == 1
-
-    def test_fill_pct_recorded_against_nominal_size(self, batch):
-        tracer = CollectingTracer()
-        with use_tracer(tracer):
-            get_backend("batched").map_batch("min-min", batch, nominal_size=4)
-        histograms = tracer.histograms.as_dict()
-        assert "kernels.batch.fill_pct" in histograms
-        assert "kernels.batch.size" in histograms

@@ -53,8 +53,24 @@ TIE_POLICIES = {
 
 @st.composite
 def etc_and_ready(draw):
-    num_tasks = draw(st.integers(1, 12))
+    """An ETC up to 12 x 6 plus a ready-time vector.
+
+    Three draw modes: ``plain``; ``duplicated``, which copies one row
+    verbatim over another so every decision between the two ties
+    exactly; and ``degenerate``, which draws the corner shapes — one
+    task, one machine, or fewer tasks than machines.
+    """
+    mode = draw(st.sampled_from(["plain", "duplicated", "degenerate"]))
     num_machines = draw(st.integers(1, 6))
+    num_tasks = draw(st.integers(1, 12))
+    if mode == "degenerate":
+        corner = draw(st.sampled_from(["one-task", "one-machine", "wide"]))
+        if corner == "one-task":
+            num_tasks = 1
+        elif corner == "one-machine":
+            num_machines = 1
+        else:
+            num_tasks = draw(st.integers(1, num_machines))
     if draw(st.booleans()):
         # Integer grid: tolerance ties are the norm, not the exception.
         cell = st.integers(1, 4).map(float)
@@ -67,6 +83,10 @@ def etc_and_ready(draw):
             max_size=num_tasks,
         )
     )
+    if mode == "duplicated" and num_tasks > 1:
+        src = draw(st.integers(0, num_tasks - 1))
+        dst = draw(st.integers(0, num_tasks - 1))
+        values[dst] = list(values[src])
     ready = draw(
         st.lists(
             st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False),
@@ -272,142 +292,3 @@ def test_sufferage_last_trace_identical(data):
                 [(p.index, p.decisions, p.committed) for p in heuristic.last_trace]
             )
         assert traces[0] == traces[1], policy
-
-
-# ----------------------------------------------------------------------
-# Batch-vs-loop decision identity (the batched backend's contract).
-#
-# For every greedy-family heuristic and every registered backend, mapping
-# a stacked batch must reproduce — byte for byte — the decision sequence
-# of looping that backend's single-instance heuristic over the
-# instances: same (task, machine, start, completion, order) tuples, same
-# exact makespans.  The strategy stresses ties (integer grids, duplicate
-# rows, duplicate instances) and degenerate shapes (batch of 1,
-# tasks < machines, single machine).
-# ----------------------------------------------------------------------
-from tests.conftest import BATCH_MAX_EXAMPLES, stacked_batches  # noqa: E402
-
-from repro.heuristics.backends import get_backend  # noqa: E402
-from repro.heuristics.batched import (  # noqa: E402
-    GREEDY_FAMILY,
-    batch_ready_vector,
-    map_batch,
-)
-
-BACKENDS = ("reference", "incremental", "batched")
-
-
-def _batch_decisions(result):
-    return [
-        (result.assignment_tuples(index), result.makespans()[index])
-        for index in range(len(result.batch))
-    ]
-
-
-def _looped_decisions(backend, name, batch, ready, breaker):
-    """Ground truth: the backend's single-instance kernel, looped."""
-    ready0 = batch_ready_vector(batch, ready)
-    out = []
-    for index in range(len(batch)):
-        mapping = backend.make(name).map_tasks(
-            batch.instance(index), list(ready0[index]), breaker
-        )
-        out.append(
-            (
-                [
-                    (a.task, a.machine, a.start, a.completion, a.order)
-                    for a in mapping.assignments
-                ],
-                mapping.makespan(),
-            )
-        )
-    return out
-
-
-@pytest.mark.parametrize("name", GREEDY_FAMILY)
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@given(data=stacked_batches())
-@settings(max_examples=BATCH_MAX_EXAMPLES, deadline=None)
-def test_batch_matches_loop(name, backend_name, data):
-    batch, ready = data
-    backend = get_backend(backend_name)
-    result = backend.map_batch(name, batch, ready)
-    assert result.heuristic == name
-    assert _batch_decisions(result) == _looped_decisions(
-        backend, name, batch, ready, DeterministicTieBreaker()
-    )
-
-
-@pytest.mark.parametrize("name", GREEDY_FAMILY)
-@given(data=stacked_batches())
-@settings(max_examples=BATCH_MAX_EXAMPLES, deadline=None)
-def test_batch_backends_agree(name, data):
-    """All registered backends produce identical batch results."""
-    batch, ready = data
-    outcomes = [
-        _batch_decisions(get_backend(backend_name).map_batch(name, batch, ready))
-        for backend_name in BACKENDS
-    ]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-
-
-@pytest.mark.parametrize("name", GREEDY_FAMILY)
-@given(data=stacked_batches())
-@settings(max_examples=BATCH_MAX_EXAMPLES, deadline=None)
-def test_batch_mapping_replay(name, data):
-    """BatchResult.mapping(i) rebuilds the exact single-instance Mapping."""
-    batch, ready = data
-    result = get_backend("batched").map_batch(name, batch, ready)
-    for index in range(len(batch)):
-        mapping = result.mapping(index)
-        assert [
-            (a.task, a.machine, a.start, a.completion, a.order)
-            for a in mapping.assignments
-        ] == result.assignment_tuples(index)
-        assert mapping.makespan() == result.makespans()[index]
-
-
-@given(data=stacked_batches())
-@settings(max_examples=BATCH_MAX_EXAMPLES, deadline=None)
-def test_batch_random_ties_fall_back_to_loop(data):
-    """A non-deterministic breaker routes through the looped path with a
-    single shared draw stream — identical to looping by hand."""
-    batch, ready = data
-    result = map_batch("min-min", batch, ready, RandomTieBreaker(99))
-    ready0 = batch_ready_vector(batch, ready)
-    breaker = RandomTieBreaker(99)
-    heuristic = MinMin()
-    expected = []
-    for index in range(len(batch)):
-        mapping = heuristic.map_tasks(
-            batch.instance(index), list(ready0[index]), breaker
-        )
-        expected.append(
-            (
-                [
-                    (a.task, a.machine, a.start, a.completion, a.order)
-                    for a in mapping.assignments
-                ],
-                mapping.makespan(),
-            )
-        )
-    assert _batch_decisions(result) == expected
-
-
-@pytest.mark.parametrize("name", GREEDY_FAMILY)
-@given(data=stacked_batches())
-@settings(max_examples=BATCH_MAX_EXAMPLES // 2 or 1, deadline=None)
-def test_batch_traced_fallback_identical(name, data):
-    """Under a tracer the batched path falls back to the loop (so event
-    streams keep their proven identity) yet decides identically, and the
-    kernels.batch.* counters record the request."""
-    batch, ready = data
-    untraced = get_backend("batched").map_batch(name, batch, ready)
-    tracer = CollectingTracer()
-    with use_tracer(tracer):
-        traced = get_backend("batched").map_batch(name, batch, ready)
-    assert _batch_decisions(traced) == _batch_decisions(untraced)
-    counters = tracer.counters.as_dict()
-    assert counters.get("kernels.batch.requests") == 1
-    assert counters.get("kernels.batch.instances") == len(batch)
-    assert counters.get("kernels.batch.fallback") == 1

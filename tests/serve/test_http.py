@@ -157,6 +157,28 @@ def test_oversized_body_is_413():
     assert body["error"]["type"] == "payload_too_large"
 
 
+@pytest.mark.parametrize("length", ["-1", "1_0", "+2"])
+def test_malformed_content_length_is_400(length):
+    async def work(port):
+        # A bound, so a server that waits for bytes never sent fails
+        # the test instead of hanging it.
+        return await asyncio.wait_for(
+            _request(
+                port,
+                "POST",
+                "/v1/schedule",
+                raw=b"{}",
+                headers={"Content-Length": length},
+            ),
+            timeout=5.0,
+        )
+
+    (status, body), _service = serve(work)
+    assert status == 400
+    assert body["error"]["type"] == "invalid_request"
+    assert body["error"]["message"] == "bad Content-Length"
+
+
 def test_validation_and_overload_pass_through():
     async def work(port):
         return await _request(port, "POST", "/v1/schedule", {"kind": "bogus"})

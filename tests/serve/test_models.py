@@ -95,6 +95,7 @@ def test_study_has_no_inline_etc():
         ({"kind": "study"}, "need an 'ensemble'"),
         ({"kind": "study", "ensemble": {"tasks": 4}, "etc": {"values": VALUES}},
          "not 'etc'"),
+        (map_payload(backend="batched"), "unknown backend"),
     ],
 )
 def test_malformed_payloads_rejected(payload, fragment):

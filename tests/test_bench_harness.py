@@ -49,21 +49,6 @@ class TestRunBench:
         for fragment in ("minmin", "mct", "sufferage", "kpb", "iterative"):
             assert any(fragment in n for n in names), fragment
 
-    def test_batched_greedy_workload_registered(self):
-        assert "batched-greedy" in {w.name for w in WORKLOADS}
-
-    def test_batched_greedy_smoke_matches_looped_reference(self):
-        report = run_bench(
-            smoke=True, repeats=1, with_reference=True, only=("batched-greedy",)
-        )
-        entry = report["results"]["batched-greedy"]
-        assert entry["best_s"] > 0
-        assert entry["reference_best_s"] > 0
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ConfigurationError):
-            run_bench(smoke=True, repeats=1, only=FAST, batch_size=0)
-
     def test_rejects_unknown_workload(self):
         with pytest.raises(ConfigurationError):
             run_bench(smoke=True, repeats=1, only=("no-such-workload",))
@@ -150,7 +135,6 @@ class TestBenchCLI:
     def test_list_prints_every_workload(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "batched-greedy" in out
         for workload in WORKLOADS:
             assert workload.name in out
 
@@ -158,7 +142,7 @@ class TestBenchCLI:
         out = tmp_path / "bench.json"
         assert main(
             ["bench", "--smoke", "--repeats", "1", "--no-reference",
-             "--workloads", "batched-greedy", "--backend", "batched",
-             "--batch-size", "4", "-o", str(out)]
+             "--workloads", "experiment-grid-small", "--backend", "reference",
+             "-o", str(out)]
         ) == 0
-        assert "batched-greedy" in load_report(out)["results"]
+        assert "experiment-grid-small" in load_report(out)["results"]

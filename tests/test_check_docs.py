@@ -159,6 +159,58 @@ class TestCliSubcommands:
         assert check_docs.check_cli_subcommands(REPO_ROOT, files) == []
 
 
+class TestCliFlags:
+    OPTIONS = {
+        ("bench", None): frozenset({"--help", "--smoke", "--backend"}),
+        ("obs", None): frozenset({"--help"}),
+        ("obs", "timeline"): frozenset({"--help", "--width"}),
+    }
+
+    def _problems(self, tmp_path, text):
+        _write(tmp_path, "docs/index.md", text)
+        return check_docs.check_cli_flags(
+            tmp_path, check_docs.doc_files(tmp_path), self.OPTIONS
+        )
+
+    def test_stale_flag_reported(self, tmp_path):
+        assert self._problems(
+            tmp_path, "run `repro bench --smoke --batch-size 4` first\n"
+        ) == ["docs/index.md: 'repro bench' has no option --batch-size"]
+
+    def test_valid_flags_pass(self, tmp_path):
+        # Nested groups take their own options; ``=value`` forms, text
+        # after a closing backtick and piped commands are not checked.
+        assert self._problems(
+            tmp_path,
+            "`repro bench --backend=reference` then --other\n"
+            "$ repro obs timeline t.jsonl --width 80 | head --lines 3\n"
+            "$ repro bench --smoke  # not --checked\n",
+        ) == []
+
+    def test_continued_line_joins_one_invocation(self, tmp_path):
+        assert self._problems(
+            tmp_path,
+            "python -m repro obs timeline t.jsonl \\\n"
+            "    --width 80 \\\n"
+            "    --follow\n"
+            "--not-part-of-it\n",
+        ) == ["docs/index.md: 'repro obs timeline' has no option --follow"]
+
+    def test_fabricated_repo_without_cli_skips(self, tmp_path):
+        _write(tmp_path, "docs/index.md", "python -m repro bench --nope\n")
+        assert check_docs.cli_options(tmp_path) is None
+        assert check_docs.check_cli_flags(
+            tmp_path, check_docs.doc_files(tmp_path)
+        ) == []
+
+    def test_real_option_map_covers_nested_and_top_level(self):
+        options = check_docs.cli_options(REPO_ROOT)
+        assert "--smoke" in options[("bench", None)]
+        assert "--batch-size" not in options[("bench", None)]
+        assert options[("obs", None)] <= options[("obs", "timeline")]
+        assert "--help" in options[("run-grid", None)]
+
+
 class TestApiTable:
     API = (
         "## `repro.analysis`\n\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (zero dependencies).
 
-Five checks over ``docs/`` and ``README.md``, wired into ``make lint``
+Six checks over ``docs/`` and ``README.md``, wired into ``make lint``
 and CI so the docs cannot silently rot as the code moves:
 
 1. **Dead relative links** — every relative markdown link target
@@ -27,6 +27,13 @@ and CI so the docs cannot silently rot as the code moves:
    deleted or moved name cannot survive in the API overview.  Dotted
    names (``experiments.config_to_dict``) resolve attribute by
    attribute; wildcards such as ``format_*_table`` are skipped.
+6. **Stale CLI flags** — every ``--flag`` that follows a documented
+   ``repro <subcommand>`` invocation must be an option of that
+   subcommand's live parser (of the nested parser for ``repro obs
+   <sub>``; top-level options count everywhere), so a removed option
+   cannot survive in an example.  Backslash-continued lines join into
+   one invocation; it ends at a closing backtick, a shell separator
+   (``|``, ``;``, ``&``), a `` #`` comment or the end of the line.
 
 Usage::
 
@@ -61,6 +68,13 @@ _CLI_RE = re.compile(
     r"(?:python -m repro|\$ repro|`repro)\s+"
     r"([a-z][a-z0-9-]*)(?:\s+([a-z][a-z0-9-]*))?"
 )
+
+#: Where a documented invocation ends: a closing backtick, a shell
+#: separator, a shell comment or the end of the (joined) line.
+_INVOCATION_END_RE = re.compile(r"[`|;&\n]|\s#")
+
+#: A long option token, with any ``=value`` left off.
+_FLAG_RE = re.compile(r"(?<![\w-])(--[A-Za-z][\w-]*)")
 
 #: ``docs/api.md`` section heading naming a module: ``## `repro.x` ``.
 _API_SECTION_RE = re.compile(r"^##\s+`(repro(?:\.[a-z_][a-z0-9_]*)*)`")
@@ -202,11 +216,9 @@ def check_index_reachability(root: Path) -> list[str]:
     ]
 
 
-def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
-    """Live subcommand map of the ``repro`` CLI, or ``None`` to skip.
+def _live_parser(root: Path):
+    """The ``repro`` CLI's live argument parser, or ``None`` to skip.
 
-    Keys are top-level subcommands; each value is the set of nested
-    subcommands the command owns (empty for flat commands).  Returns
     ``None`` when the tree under ``root`` has no importable CLI (the
     fabricated repos of the unit tests), mirroring how the module check
     degrades when ``src/repro`` is absent.
@@ -219,22 +231,63 @@ def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
     if src not in sys.path:
         sys.path.insert(0, src)
     try:
-        parser = importlib.import_module("repro.cli").build_parser()
+        return importlib.import_module("repro.cli").build_parser()
     except Exception:
         return None
 
-    def _choices(p):
-        if p._subparsers is None:
-            return {}
-        for action in p._subparsers._group_actions:
-            if getattr(action, "choices", None):
-                return action.choices
-        return {}
 
+def _subparsers(parser) -> dict:
+    """``{name: parser}`` of ``parser``'s subcommands (empty if flat)."""
+    if parser._subparsers is None:
+        return {}
+    for action in parser._subparsers._group_actions:
+        if getattr(action, "choices", None):
+            return action.choices
+    return {}
+
+
+def _option_strings(parser) -> frozenset[str]:
+    return frozenset(
+        option for action in parser._actions for option in action.option_strings
+    )
+
+
+def cli_subcommands(root: Path) -> dict[str, frozenset[str]] | None:
+    """Live subcommand map of the ``repro`` CLI, or ``None`` to skip.
+
+    Keys are top-level subcommands; each value is the set of nested
+    subcommands the command owns (empty for flat commands).
+    """
+    parser = _live_parser(root)
+    if parser is None:
+        return None
     return {
-        name: frozenset(_choices(sub))
-        for name, sub in _choices(parser).items()
+        name: frozenset(_subparsers(sub))
+        for name, sub in _subparsers(parser).items()
     }
+
+
+def cli_options(
+    root: Path,
+) -> dict[tuple[str, str | None], frozenset[str]] | None:
+    """Live option map of the ``repro`` CLI, or ``None`` to skip.
+
+    Keys are ``(command, None)`` for every subcommand and ``(command,
+    nested)`` for every nested one; each value holds the options valid
+    after that invocation — its own, its group's and the top-level
+    parser's.
+    """
+    parser = _live_parser(root)
+    if parser is None:
+        return None
+    top = _option_strings(parser)
+    options = {}
+    for name, sub in _subparsers(parser).items():
+        own = top | _option_strings(sub)
+        options[(name, None)] = own
+        for nested, leaf in _subparsers(sub).items():
+            options[(name, nested)] = own | _option_strings(leaf)
+    return options
 
 
 def check_cli_subcommands(
@@ -269,6 +322,42 @@ def check_cli_subcommands(
     return problems
 
 
+def check_cli_flags(
+    root: Path,
+    files: list[Path],
+    options: dict[tuple[str, str | None], frozenset[str]] | None = None,
+) -> list[str]:
+    """Documented ``--flag`` tokens the invoked subcommand does not take.
+
+    ``options`` defaults to the live parser's map (:func:`cli_options`);
+    the unit tests inject a fake one.  Unknown subcommands are check
+    4's to report, so their flags are skipped here.
+    """
+    if options is None:
+        options = cli_options(root)
+    if options is None:
+        return []
+    problems = []
+    for path in files:
+        text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+        for match in _CLI_RE.finditer(text):
+            command, nested = match.group(1), match.group(2)
+            key = (command, nested) if (command, nested) in options else (command, None)
+            if key not in options:
+                continue
+            rest = text[match.end():]
+            end = _INVOCATION_END_RE.search(rest)
+            invocation = rest[: end.start()] if end else rest
+            for flag in _FLAG_RE.findall(invocation):
+                if flag not in options[key]:
+                    shown = " ".join(part for part in key if part)
+                    problems.append(
+                        f"{path.relative_to(root)}: 'repro {shown}' has no "
+                        f"option {flag}"
+                    )
+    return problems
+
+
 def check_api_table(root: Path) -> list[str]:
     """``docs/api.md`` table names missing from their section's module."""
     api = root / "docs" / "api.md"
@@ -293,13 +382,14 @@ def check_api_table(root: Path) -> list[str]:
 
 
 def run_checks(root: Path) -> list[str]:
-    """All problems across the five checks (empty = consistent docs)."""
+    """All problems across the six checks (empty = consistent docs)."""
     files = doc_files(root)
     problems = check_links(root, files)
     problems += check_module_references(root, files)
     problems += check_index_reachability(root)
     problems += check_cli_subcommands(root, files)
     problems += check_api_table(root)
+    problems += check_cli_flags(root, files)
     return problems
 
 
