@@ -49,7 +49,7 @@ from repro.heuristics import (
     heuristic_names,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

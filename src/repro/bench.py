@@ -19,7 +19,9 @@ Three entry points:
 Workloads use ``time.perf_counter`` around whole mapper runs; ``best_s``
 (minimum over repeats) is the comparison statistic because it is the
 least noise-sensitive on shared machines, with ``median_s`` recorded
-alongside for context.  Smoke mode shrinks every workload (64×8 instead
+alongside for context.  Optimised and reference samples alternate, and
+``speedup`` is the median of the per-pair ratios, so a drift in host
+speed during the loop does not move it.  Smoke mode shrinks every workload (64×8 instead
 of 512×32) so the harness itself can run inside the test suite; smoke
 and full reports are never comparable (`compare_reports` refuses).
 """
@@ -364,12 +366,18 @@ def _tracing_overhead_workload(options: BenchOptions):
     (events, counters, histograms, spans all live); the reference thunk
     runs the identical schedule under the default null tracer, so the
     ``speedup`` column is *null / instrumented* — the fraction of null
-    throughput the instrumentation retains.  ``build`` additionally
-    measures a best-of-3 pair up front and **fails the bench** when the
-    ratio exceeds :data:`TRACING_OVERHEAD_BUDGET`, making the gate
-    self-contained (no baseline file needed) for CI smoke runs.
+    throughput the instrumentation retains.  Both halves run the Python
+    incremental kernel: a traced run cannot use the compiled kernels
+    (it emits per-decision tie candidates), so a compiled null half
+    would measure the compiler rather than the tracer.  The compiled
+    null run is reported in the entry's ``extra`` field instead.
+    ``build`` additionally measures a best-of-3 pair up front and
+    **fails the bench** when the ratio exceeds
+    :data:`TRACING_OVERHEAD_BUDGET`, making the gate self-contained (no
+    baseline file needed) for CI smoke runs.
     """
     from repro.core.iterative import IterativeScheduler
+    from repro.heuristics import native
     from repro.heuristics.minmin import MinMin
     from repro.obs.tracer import CollectingTracer, use_tracer
 
@@ -377,11 +385,12 @@ def _tracing_overhead_workload(options: BenchOptions):
     scheduler = IterativeScheduler(MinMin(incremental=True))
 
     def run():
-        with use_tracer(CollectingTracer()):
+        with native.python_kernels(), use_tracer(CollectingTracer()):
             return scheduler.run(etc)
 
     def run_reference():
-        return scheduler.run(etc)
+        with native.python_kernels():
+            return scheduler.run(etc)
 
     def best_of(thunk, n=3):
         return min(_time_thunk(thunk, n)["samples"])
@@ -397,6 +406,12 @@ def _tracing_overhead_workload(options: BenchOptions):
             f"{null_s * 1e3:.2f} ms on "
             f"{etc.num_tasks}x{etc.num_machines})"
         )
+    compiled_s = best_of(lambda: scheduler.run(etc))
+    run.bench_extra = lambda: {
+        "overhead_ratio": ratio,
+        "null_python_best_s": null_s,
+        "null_compiled_best_s": compiled_s,
+    }
     return run, run_reference
 
 
@@ -670,17 +685,43 @@ def workload_names() -> tuple[str, ...]:
     return tuple(w.name for w in WORKLOADS)
 
 
-def _time_thunk(thunk: Callable[[], object], repeats: int) -> dict:
-    samples: list[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        thunk()
-        samples.append(time.perf_counter() - start)
+def _summary(samples: list[float]) -> dict:
     return {
         "best_s": min(samples),
         "median_s": statistics.median(samples),
         "samples": [round(s, 6) for s in samples],
     }
+
+
+def _time_once(thunk: Callable[[], object]) -> float:
+    start = time.perf_counter()
+    thunk()
+    return time.perf_counter() - start
+
+
+def _time_thunk(thunk: Callable[[], object], repeats: int) -> dict:
+    return _summary([_time_once(thunk) for _ in range(repeats)])
+
+
+def _time_pairs(
+    run: Callable[[], object], run_reference: Callable[[], object], repeats: int
+) -> tuple[dict, dict, float]:
+    """Time ``repeats`` optimised/reference pairs, alternating A/B.
+
+    Returns the two sample summaries and the median of the per-pair
+    ``reference / optimised`` ratios.  Each pair runs back to back, so a
+    drift in host speed between the start and the end of the loop moves
+    both halves of a pair alike and leaves its ratio in place; timing
+    all optimised samples before all reference samples would fold such
+    a drift into the ratio.
+    """
+    samples: list[float] = []
+    reference: list[float] = []
+    for _ in range(repeats):
+        samples.append(_time_once(run))
+        reference.append(_time_once(run_reference))
+    speedup = statistics.median(r / s for s, r in zip(samples, reference))
+    return _summary(samples), _summary(reference), speedup
 
 
 def _profile_thunk(thunk: Callable[[], object], top_n: int) -> list[str]:
@@ -748,13 +789,15 @@ def run_bench(
     results: dict[str, dict] = {}
     for workload in selected:
         run, run_reference = workload.build(options)
-        entry = dict(_time_thunk(run, repeats))
-        entry["description"] = workload.description
         if with_reference and run_reference is not None:
-            reference = _time_thunk(run_reference, repeats)
+            timing, reference, speedup = _time_pairs(run, run_reference, repeats)
+            entry = dict(timing)
             entry["reference_best_s"] = reference["best_s"]
             entry["reference_median_s"] = reference["median_s"]
-            entry["speedup"] = reference["best_s"] / entry["best_s"]
+            entry["speedup"] = speedup
+        else:
+            entry = dict(_time_thunk(run, repeats))
+        entry["description"] = workload.description
         if profile is not None:
             entry["profile"] = _profile_thunk(run, profile)
         # Workloads may attach a ``bench_extra`` callable to the run

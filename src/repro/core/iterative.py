@@ -24,6 +24,7 @@ from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from repro.core.schedule import Mapping, ready_time_vector
 from repro.core.ties import DeterministicTieBreaker, TieBreaker
@@ -145,17 +146,35 @@ class IterativeResult:
         survivors of a ``max_iterations``-capped run keep their
         last-iteration assignment.  Exhausted-pool survivors run nothing.
         """
-        assigned: dict[str, str] = {}
+        etc = self.etc
+        task_index = etc.task_index
+        assigned = [-1] * etc.num_tasks
         for rec in self.iterations:
+            col = etc.machine_index(rec.frozen_machine)
             for task in rec.frozen_tasks:
-                assigned[task] = rec.frozen_machine
-        last = self.iterations[-1]
-        for a in last.mapping.assignments:
-            assigned.setdefault(a.task, a.machine)
-        ready = [self.initial_ready_times.get(m, 0.0) for m in self.etc.machines]
-        mapping = Mapping(self.etc, ready)
-        for task in self.etc.tasks:
-            mapping.assign(task, assigned[task])
+                assigned[task_index(task)] = col
+        if -1 in assigned:
+            for task, machine in self.iterations[-1].mapping.to_dict().items():
+                row = task_index(task)
+                if assigned[row] < 0:
+                    assigned[row] = etc.machine_index(machine)
+        # Replay the commits in task row order, one float add per task.
+        initial = [self.initial_ready_times.get(m, 0.0) for m in etc.machines]
+        ready = list(initial)
+        starts = []
+        for col, value in zip(
+            assigned, etc.values[np.arange(etc.num_tasks), assigned].tolist()
+        ):
+            start = ready[col]
+            starts.append(start)
+            ready[col] = start + value
+        mapping = Mapping(etc, initial)
+        mapping.ready_times_view()[:] = ready
+        mapping._commit_run(
+            np.arange(etc.num_tasks, dtype=np.int64),
+            np.array(assigned, dtype=np.int64),
+            np.array(starts, dtype=np.float64),
+        )
         return mapping
 
     def mapping_changed(self) -> bool:
@@ -168,8 +187,8 @@ class IterativeResult:
         """
         original = self.original.mapping.to_dict()
         for rec in self.iterations[1:]:
-            for assignment in rec.mapping.assignments:
-                if original[assignment.task] != assignment.machine:
+            for task, machine in rec.mapping.to_dict().items():
+                if original[task] != machine:
                     return True
         return False
 
@@ -292,7 +311,7 @@ class IterativeScheduler:
                 frozen_machine = self.freeze_policy(
                     mapping, self.makespan_tie_breaker
                 )
-                current_etc.machine_index(frozen_machine)  # validate
+            frozen_col = current_etc.machine_index(frozen_machine)  # validates
             frozen_tasks = mapping.machine_tasks(frozen_machine)
             records.append(
                 IterationRecord(
@@ -335,12 +354,10 @@ class IterativeScheduler:
                 unfrozen.extend(survivors)
                 break
 
-            # Build the membership set once per iteration, not once per
-            # element — frozen_tasks grows every round, so the inline
-            # ``set(...)`` made this comprehension O(T^2) per iteration.
-            frozen = set(frozen_tasks)
-            surviving_tasks = [t for t in current_etc.tasks if t not in frozen]
-            if not surviving_tasks:
+            # Index masks over this iteration's task rows: the frozen
+            # machine's rows leave with it.
+            surviving_rows = np.flatnonzero(mapping.assignment_vector() != frozen_col)
+            if not surviving_rows.size:
                 # Task pool exhausted: survivors never run anything and
                 # finish at their initial ready times.
                 for m in survivors:
@@ -356,9 +373,9 @@ class IterativeScheduler:
 
             previous_mapping = mapping
             # One trusted restriction per freeze step: drops the frozen
-            # machine and its tasks in a single pass over the validated
-            # parent buffer (no re-validation, no intermediate matrix).
-            current_etc = current_etc.without_machine(frozen_machine, frozen_tasks)
+            # machine and its tasks in a single gather from the validated
+            # parent buffer (no label lookups, no re-validation).
+            current_etc = current_etc._without_index(surviving_rows, frozen_col)
 
         return final_finish, removal_order, unfrozen, records
 

@@ -90,15 +90,24 @@ class Mapping:
     the heuristics in the paper never migrate an already-committed task
     (Sufferage's within-pass preemption is tentative state inside the
     heuristic, committed per pass).
+
+    State is kept in index space: the machine column of every task row,
+    the committed rows with their start times in commit order, and the
+    live ready-time vector.  :class:`Assignment` records and labels are
+    built at the API boundary on first read (:attr:`assignments`,
+    :meth:`assignment_of`) and cached until the next commit.
     """
 
     __slots__ = (
         "_etc",
         "_initial_ready",
         "_ready",
-        "_assignments",
+        "_col",
+        "_order",
+        "_starts",
+        "_count",
+        "_records",
         "_by_task",
-        "_by_machine",
     )
 
     def __init__(
@@ -109,12 +118,17 @@ class Mapping:
         self._etc = etc
         self._initial_ready = ready_time_vector(etc, ready_times)
         self._ready = self._initial_ready.copy()
-        self._assignments: list[Assignment] = []
-        self._by_task: dict[str, Assignment] = {}
-        # Per-machine task lists in assignment order, maintained by
-        # assign() so machine_tasks() is O(tasks on that machine), not a
-        # full scan (the iterative freeze step calls it every iteration).
-        self._by_machine: list[list[str]] = [[] for _ in range(etc.num_machines)]
+        num_tasks = etc.num_tasks
+        # Machine column of each task row, -1 while unmapped.
+        self._col = np.full(num_tasks, -1, dtype=np.int64)
+        # Committed task rows and their start times, in commit order;
+        # the first ``_count`` entries are live.
+        self._order = np.empty(num_tasks, dtype=np.int64)
+        self._starts = np.empty(num_tasks, dtype=np.float64)
+        self._count = 0
+        # Lazily built Assignment records and their by-task index.
+        self._records: tuple[Assignment, ...] | None = None
+        self._by_task: dict[str, Assignment] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,35 +149,67 @@ class Mapping:
     @property
     def assignments(self) -> tuple[Assignment, ...]:
         """Assignments in the order they were made."""
-        return tuple(self._assignments)
+        records = self._records
+        if records is None:
+            etc = self._etc
+            tasks, machines = etc.tasks, etc.machines
+            n = self._count
+            rows = self._order[:n]
+            cols = self._col[rows]
+            starts = self._starts[:n]
+            completions = starts + etc.values[rows, cols]
+            records = self._records = tuple(
+                Assignment(tasks[r], machines[c], s, e, k)
+                for k, (r, c, s, e) in enumerate(
+                    zip(
+                        rows.tolist(),
+                        cols.tolist(),
+                        starts.tolist(),
+                        completions.tolist(),
+                    )
+                )
+            )
+        return records
 
     @property
     def num_assigned(self) -> int:
-        return len(self._assignments)
+        return self._count
 
     def is_complete(self) -> bool:
         """True when every task of the ETC matrix has been assigned."""
-        return len(self._assignments) == self._etc.num_tasks
+        return self._count == self._etc.num_tasks
 
     def is_assigned(self, task: str) -> bool:
-        return task in self._by_task
+        etc = self._etc
+        return etc.has_task(task) and bool(self._col[etc.task_index(task)] >= 0)
 
     def unmapped_tasks(self) -> tuple[str, ...]:
         """Tasks not yet assigned, in ETC row order."""
-        return tuple(t for t in self._etc.tasks if t not in self._by_task)
+        tasks = self._etc.tasks
+        return tuple(tasks[r] for r in np.flatnonzero(self._col < 0).tolist())
 
     def assignment_of(self, task: str) -> Assignment:
+        by_task = self._by_task
+        if by_task is None:
+            by_task = self._by_task = {a.task: a for a in self.assignments}
         try:
-            return self._by_task[task]
+            return by_task[task]
         except KeyError:
             raise UnmappedTaskError(f"task {task!r} is not mapped") from None
 
     def machine_of(self, task: str) -> str:
-        return self.assignment_of(task).machine
+        etc = self._etc
+        col = int(self._col[etc.task_index(task)]) if etc.has_task(task) else -1
+        if col < 0:
+            raise UnmappedTaskError(f"task {task!r} is not mapped")
+        return etc.machines[col]
 
     def machine_tasks(self, machine: str) -> tuple[str, ...]:
         """Tasks on ``machine`` in execution (assignment) order."""
-        return tuple(self._by_machine[self._etc.machine_index(machine)])
+        col = self._etc.machine_index(machine)
+        rows = self._order[: self._count]
+        tasks = self._etc.tasks
+        return tuple(tasks[r] for r in rows[self._col[rows] == col].tolist())
 
     # ------------------------------------------------------------------
     # Timing queries — Eq. (1)
@@ -206,43 +252,57 @@ class Mapping:
     # ------------------------------------------------------------------
     def assign(self, task: str, machine: str) -> Assignment:
         """Commit ``task`` to ``machine`` at the machine's ready time."""
-        if task in self._by_task:
+        etc = self._etc
+        ti = etc.task_index(task)
+        if self._col[ti] >= 0:
             raise MappingError(f"task {task!r} is already assigned")
-        ti = self._etc.task_index(task)
-        mi = self._etc.machine_index(machine)
-        return self._commit(ti, mi, task, machine)
+        mi = etc.machine_index(machine)
+        start = float(self._ready[mi])
+        completion = self._commit(ti, mi)
+        return Assignment(task, machine, start, completion, self._count - 1)
 
-    def assign_index(self, task_index: int, machine_index: int) -> Assignment:
+    def assign_index(self, task_index: int, machine_index: int) -> float:
         """Index-space :meth:`assign` fast path for heuristic kernels.
 
-        Skips the label→index dictionary lookups; indices refer to the
-        ETC matrix's row/column order and must be in range (out-of-range
-        indices raise ``IndexError``).  Timing arithmetic is identical
-        to :meth:`assign`.
+        Skips the label→index dictionary lookups and builds no
+        :class:`Assignment`; returns the completion time.  Indices refer
+        to the ETC matrix's row/column order and must be in range
+        (out-of-range indices raise ``IndexError``).  Timing arithmetic
+        is identical to :meth:`assign`.
         """
-        etc = self._etc
-        task = etc.tasks[task_index]
-        if task in self._by_task:
-            raise MappingError(f"task {task!r} is already assigned")
-        return self._commit(
-            task_index, machine_index, task, etc.machines[machine_index]
-        )
+        if self._col[task_index] >= 0:
+            raise MappingError(
+                f"task {self._etc.tasks[task_index]!r} is already assigned"
+            )
+        return self._commit(task_index, machine_index)
 
-    def _commit(self, ti: int, mi: int, task: str, machine: str) -> Assignment:
+    def _commit(self, ti: int, mi: int) -> float:
         start = float(self._ready[mi])
         completion = start + float(self._etc.values[ti, mi])
-        assignment = Assignment(
-            task=task,
-            machine=machine,
-            start=start,
-            completion=completion,
-            order=len(self._assignments),
-        )
-        self._assignments.append(assignment)
-        self._by_task[task] = assignment
-        self._by_machine[mi].append(task)
+        n = self._count
+        self._order[n] = ti
+        self._starts[n] = start
+        self._col[ti] = mi
         self._ready[mi] = completion
-        return assignment
+        self._count = n + 1
+        self._records = self._by_task = None
+        return completion
+
+    def _commit_run(
+        self, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray
+    ) -> None:
+        """Adopt a whole run's commits at once (compiled kernels).
+
+        ``rows``, ``cols`` and ``starts`` are the task rows, machine
+        columns and start times in commit order, covering every task of
+        an empty mapping whose live ready vector (:meth:`ready_times_view`)
+        the caller has already advanced to the run's final ready times.
+        """
+        self._order = rows
+        self._starts = starts
+        self._col[rows] = cols
+        self._count = rows.shape[0]
+        self._records = self._by_task = None
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -252,7 +312,7 @@ class Mapping:
 
         A machine with no tasks finishes at its initial ready time.
         """
-        return {m: float(self._ready[j]) for j, m in enumerate(self._etc.machines)}
+        return dict(zip(self._etc.machines, self._ready.tolist()))
 
     def finish_time_vector(self) -> np.ndarray:
         """Finishing times as a vector over ``self.machines``."""
@@ -274,14 +334,16 @@ class Mapping:
 
     def assignment_vector(self) -> np.ndarray:
         """Machine index per task row; ``-1`` for unmapped tasks."""
-        vec = np.full(self._etc.num_tasks, -1, dtype=np.int64)
-        for a in self._assignments:
-            vec[self._etc.task_index(a.task)] = self._etc.machine_index(a.machine)
-        return vec
+        return self._col.copy()
 
     def to_dict(self) -> dict[str, str]:
-        """``{task: machine}`` for all assigned tasks."""
-        return {a.task: a.machine for a in self._assignments}
+        """``{task: machine}`` for all assigned tasks, in commit order."""
+        tasks, machines = self._etc.tasks, self._etc.machines
+        rows = self._order[: self._count]
+        return {
+            tasks[r]: machines[c]
+            for r, c in zip(rows.tolist(), self._col[rows].tolist())
+        }
 
     def same_assignments(self, other: "Mapping") -> bool:
         """True when both mappings place every shared task identically.

@@ -11,6 +11,7 @@ and its tasks, keep everybody else's labels stable).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -350,6 +351,24 @@ class ETCMatrix:
         rows = [i for i, t in enumerate(self._tasks) if t not in dropped]
         cols = [j for j in range(self.num_machines) if j != mj]
         return self._restricted(rows, cols)
+
+    def _without_index(self, rows: np.ndarray, col: int) -> "ETCMatrix":
+        """Index-space :meth:`without_machine` for the freeze loop.
+
+        Keeps the ascending task ``rows`` (non-empty) and drops machine
+        column ``col``, both trusted and in range.
+        """
+        taken = self._values.take(rows, axis=0)
+        values = np.empty((rows.shape[0], self.num_machines - 1))
+        values[:, :col] = taken[:, :col]
+        values[:, col:] = taken[:, col + 1 :]
+        tasks = itemgetter(*rows.tolist())(self._tasks)
+        machines = self._machines
+        return ETCMatrix._from_trusted(
+            values,
+            tasks if rows.shape[0] > 1 else (tasks,),
+            machines[:col] + machines[col + 1 :],
+        )
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -6,9 +6,11 @@ the *incremental* single-instance kernels of
 :mod:`repro.heuristics.kernels`.  This module gives them one seam: a
 :class:`KernelBackend` is a construction policy for single-instance
 heuristics (:meth:`KernelBackend.make`), and a registry resolves
-backends by name — ``reference | incremental`` today, a compiled
-backend tomorrow — so call sites (experiment runner, study pipeline,
-CLI, bench) select kernels without touching heuristic code.
+backends by name — ``reference | incremental`` — so call sites
+(experiment runner, study pipeline, CLI, bench) select kernels without
+touching heuristic code.  The compiled kernels of
+:mod:`repro.heuristics.native` are not a backend of their own: they are
+how ``incremental`` runs an untraced deterministic map.
 
 There is no stacked multi-instance path: the iterative technique drops
 the makespan machine and its tasks before each remap, so after the

@@ -26,6 +26,7 @@ from repro.obs.tracer import get_tracer
 
 __all__ = [
     "Heuristic",
+    "LazyTrace",
     "register_heuristic",
     "get_heuristic",
     "heuristic_names",
@@ -124,6 +125,54 @@ def validate_complete(mapping: Mapping) -> None:
             f"heuristic left {len(mapping.unmapped_tasks())} task(s) unmapped: "
             f"{mapping.unmapped_tasks()[:5]!r}..."
         )
+
+
+class LazyTrace(Sequence):
+    """A heuristic's ``last_trace`` tuple, built on first access.
+
+    ``build`` returns the records.  Kernels that keep index arrays
+    instead of per-decision records hand one of these to the iterative
+    loop, which stores it in every :class:`IterationRecord` without
+    reading it.  Compares, hashes, prints and pickles as the tuple.
+    """
+
+    __slots__ = ("_build", "_items")
+
+    def __init__(self, build: Callable[[], Sequence]) -> None:
+        self._build = build
+        self._items: tuple | None = None
+
+    def _tuple(self) -> tuple:
+        items = self._items
+        if items is None:
+            items = self._items = tuple(self._build())
+            self._build = None
+        return items
+
+    def __len__(self) -> int:
+        return len(self._tuple())
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyTrace):
+            other = other._tuple()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
 
 
 _REGISTRY: dict[str, Callable[[], Heuristic]] = {}

@@ -36,7 +36,8 @@ from repro.core.schedule import Mapping
 from repro.core.ties import DeterministicTieBreaker, TieBreaker, tied_argmin
 from repro.etc.matrix import ETCMatrix
 from repro.exceptions import ConfigurationError
-from repro.heuristics.base import Heuristic, register_heuristic
+from repro.heuristics import native
+from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
 from repro.heuristics.kernels import first_tied_min_index, tied_min_indices
 from repro.obs.tracer import get_tracer
 
@@ -76,7 +77,7 @@ class KPercentBest(Heuristic):
         #: Use the batched-subset kernel (default); the per-task argsort
         #: reference path is kept for equivalence tests.
         self.incremental = bool(incremental)
-        self.last_trace: tuple[KPBStep, ...] = ()
+        self.last_trace: tuple[KPBStep, ...] | LazyTrace = ()
 
     def subset_for(self, etc: ETCMatrix, task: str) -> tuple[str, ...]:
         """The k% best machines for ``task`` by execution time."""
@@ -98,7 +99,11 @@ class KPercentBest(Heuristic):
 
     def _run_incremental(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
         """Batched kernel: subsets depend only on ETC values, so all T
-        per-task argsorts collapse into one vectorised axis-1 argsort."""
+        per-task argsorts collapse into one vectorised axis-1 argsort.
+
+        The :class:`KPBStep` trace is built from the mapping on first
+        read of :attr:`last_trace`.
+        """
         etc = mapping.etc
         tracer = get_tracer()
         values = etc.values
@@ -106,43 +111,50 @@ class KPercentBest(Heuristic):
         size = kpb_subset_size(etc.num_machines, self.percent)
         subsets = np.sort(
             np.argsort(values, axis=1, kind="stable")[:, :size], axis=1
-        )
-        subset_lists = subsets.tolist()
+        ).astype(np.int64, copy=False)
         ready = mapping.ready_times_view()
-        trace: list[KPBStep] = []
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
-        for ti, task in enumerate(etc.tasks):
-            subset_idx = subsets[ti]
-            completion = values[ti, subset_idx] + ready[subset_idx]
-            if fast_ties:
-                pick = first_tied_min_index(completion)
-            else:
-                pick = tie_breaker.choose(tied_min_indices(completion))
-            machine_idx = subset_lists[ti][pick]
-            assignment = mapping.assign_index(ti, machine_idx)
-            subset = tuple(machines[j] for j in subset_lists[ti])
-            if tracer.enabled:
-                tracer.event(
-                    "k-percent-best.decision",
-                    task=task,
-                    subset=subset,
-                    subset_size=size,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
-                )
-                tracer.count("decisions")
-                tracer.observe("kpb.subset_size", size)
-            trace.append(
+        library = native.kernels() if fast_ties else None
+        if library is not None:
+            mapping._commit_run(*native.mct(library, values, ready, subsets))
+        else:
+            subset_lists = subsets.tolist()
+            for ti, task in enumerate(etc.tasks):
+                subset_idx = subsets[ti]
+                completion = values[ti, subset_idx] + ready[subset_idx]
+                if fast_ties:
+                    pick = first_tied_min_index(completion)
+                else:
+                    pick = tie_breaker.choose(tied_min_indices(completion))
+                machine_idx = subset_lists[ti][pick]
+                finish = mapping.assign_index(ti, machine_idx)
+                if tracer.enabled:
+                    tracer.event(
+                        "k-percent-best.decision",
+                        task=task,
+                        subset=tuple(machines[j] for j in subset_lists[ti]),
+                        subset_size=size,
+                        machine=machines[machine_idx],
+                        completion=finish,
+                    )
+                    tracer.count("decisions")
+                    tracer.observe("kpb.subset_size", size)
+
+        def steps():
+            # KPB commits in row order, so assignment k is task row k.
+            return (
                 KPBStep(
-                    task=task,
-                    subset=subset,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
+                    task=a.task,
+                    subset=tuple(machines[j] for j in subset),
+                    machine=a.machine,
+                    completion=a.completion,
                 )
+                for a, subset in zip(mapping.assignments, subsets.tolist())
             )
-        self.last_trace = tuple(trace)
+
+        self.last_trace = LazyTrace(steps)
 
     def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
         etc = mapping.etc

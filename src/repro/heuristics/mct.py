@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.core.schedule import Mapping
 from repro.core.ties import DeterministicTieBreaker, TieBreaker, tied_argmin
+from repro.heuristics import native
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.heuristics.kernels import first_tied_min_index, tied_min_indices
 from repro.obs.tracer import get_tracer
@@ -60,6 +61,10 @@ class MCT(Heuristic):
         fast_ties = (
             type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
+        library = native.kernels() if fast_ties else None
+        if library is not None:
+            mapping._commit_run(*native.mct(library, values, ready))
+            return
         for ti, task in enumerate(etc.tasks):
             completion = values[ti] + ready
             if fast_ties:
@@ -67,13 +72,13 @@ class MCT(Heuristic):
             else:
                 candidates = tied_min_indices(completion)
                 machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign_index(ti, machine_idx)
+            finish = mapping.assign_index(ti, machine_idx)
             if tracer.enabled:
                 tracer.event(
                     "mct.decision",
                     task=task,
-                    machine=assignment.machine,
-                    completion=assignment.completion,
+                    machine=machines[machine_idx],
+                    completion=finish,
                     tied=tuple(machines[int(j)] for j in candidates),
                 )
                 tracer.count("decisions")

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.schedule import Mapping
 from repro.core.ties import DeterministicTieBreaker, TieBreaker, tied_argmin
+from repro.heuristics import native
 from repro.heuristics.base import Heuristic, register_heuristic
 from repro.heuristics.kernels import (
     IncrementalCompletionTable,
@@ -81,16 +82,25 @@ class _TwoPhaseGreedy(Heuristic):
         tracer = get_tracer()
         tasks, machines = etc.tasks, etc.machines
         sign = +1 if self._second_phase_sign > 0 else -1
+        # With the deterministic policy and no tracer listening, the
+        # machine choice is just the first tolerance-tied index — no
+        # candidate list, no policy dispatch (identical decision) — and
+        # the whole run can go to the compiled kernel.
+        fast_ties = (
+            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
+        )
+        library = native.kernels() if fast_ties else None
+        if library is not None:
+            mapping._commit_run(
+                *native.two_phase(
+                    library, etc.values, mapping.ready_times_view(), sign
+                )
+            )
+            return
         table = IncrementalCompletionTable(
             etc.values,
             mapping.ready_times_view(),
             fill=np.inf if sign > 0 else -np.inf,
-        )
-        # With the deterministic policy and no tracer listening, the
-        # machine choice is just the first tolerance-tied index — no
-        # candidate list, no policy dispatch (identical decision).
-        fast_ties = (
-            type(tie_breaker) is DeterministicTieBreaker and not tracer.enabled
         )
         for _ in range(etc.num_tasks):
             task_idx = oldest_extremal_row(table, sign)
@@ -100,7 +110,7 @@ class _TwoPhaseGreedy(Heuristic):
             else:
                 candidates = tied_min_indices(row)
                 machine_idx = tie_breaker.choose(candidates)
-            assignment = mapping.assign_index(task_idx, machine_idx)
+            completion = mapping.assign_index(task_idx, machine_idx)
             if tracer.enabled:
                 tracer.event(
                     f"{self.name}.decision",
@@ -112,7 +122,7 @@ class _TwoPhaseGreedy(Heuristic):
                 tracer.count("decisions")
                 tracer.observe("decision.tie_candidates", len(candidates))
             table.deactivate(task_idx)
-            table.refresh_column(machine_idx, assignment.completion)
+            table.refresh_column(machine_idx, completion)
 
     def _run_reference(self, mapping: Mapping, tie_breaker: TieBreaker) -> None:
         """Reference kernel: rebuild the full table every round."""

@@ -47,6 +47,9 @@ The per-pass decision trace is kept on :attr:`Sufferage.last_trace` so
 the bench harness can regenerate the per-pass rows of paper Tables 16
 and 17.  Its :class:`SufferageDecision` records are built on first read
 of :attr:`SufferagePass.decisions` (or at once when a tracer listens).
+A compiled run (:mod:`repro.heuristics.native`) returns only its commits
+and pass boundaries; its pass records are rebuilt on first read of
+:attr:`Sufferage.last_trace`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ from repro.core.ties import (
     TieBreaker,
     tied_argmin,
 )
-from repro.heuristics.base import Heuristic, register_heuristic
+from repro.heuristics import native
+from repro.heuristics.base import Heuristic, LazyTrace, register_heuristic
 from repro.obs.tracer import get_tracer
 
 __all__ = ["Sufferage", "SufferageDecision", "SufferagePass", "contest"]
@@ -181,7 +185,7 @@ class Sufferage(Heuristic):
         #: Use the index-space per-pass contest kernel (default); the
         #: per-task reference path is kept for equivalence tests.
         self.incremental = bool(incremental)
-        self.last_trace: tuple[SufferagePass, ...] = ()
+        self.last_trace: tuple[SufferagePass, ...] | LazyTrace = ()
 
     def _run(
         self,
@@ -211,12 +215,21 @@ class Sufferage(Heuristic):
         labels = (etc.tasks, etc.machines)
         values = etc.values
         ready = mapping.ready_times_view()
-        pending = np.arange(etc.num_tasks)
-        passes: list[SufferagePass] = []
         # The deterministic policy admits a fully vectorised table;
         # other policies draw one tie decision per task so genuine ties
         # still flow through the TieBreaker in list order.
         fast_path = type(tie_breaker) is DeterministicTieBreaker
+        library = native.kernels() if fast_path and not tracer.enabled else None
+        if library is not None:
+            initial = ready.copy()
+            rows, cols, starts, bounds = native.sufferage(library, values, ready)
+            mapping._commit_run(rows, cols, starts)
+            self.last_trace = LazyTrace(
+                lambda: _replay_passes(etc, initial, rows, cols, starts, bounds)
+            )
+            return
+        pending = np.arange(etc.num_tasks)
+        passes: list[SufferagePass] = []
         while pending.size:
             if fast_path:
                 chosen, earliest, sufferage = _fast_decisions(values, pending, ready)
@@ -333,6 +346,45 @@ class Sufferage(Heuristic):
             )
             pass_index += 1
         self.last_trace = tuple(passes)
+
+
+def _replay_passes(
+    etc,
+    ready: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    starts: np.ndarray,
+    bounds: np.ndarray,
+) -> list[SufferagePass]:
+    """The pass records of a compiled run, rebuilt from its commits.
+
+    ``rows``/``cols``/``starts`` are the run's commits in order and
+    ``bounds[p]`` the commit count after pass ``p``; ``ready`` holds the
+    initial ready times.  Each pass's pending rows and ready times are
+    replayed from the commits before it, and its per-task decisions come
+    from :func:`_fast_decisions`, as in the Python kernel.
+    """
+    tasks, machines = etc.tasks, etc.machines
+    values = etc.values
+    ready = ready.copy()
+    pending = np.arange(etc.num_tasks)
+    passes = []
+    begin = 0
+    for index, end in enumerate(bounds.tolist()):
+        chosen, earliest, sufferage = _fast_decisions(values, pending, ready)
+        held, taken = rows[begin:end], cols[begin:end]
+        commits = tuple(
+            (tasks[r], machines[c]) for r, c in zip(held.tolist(), taken.tolist())
+        )
+        passes.append(
+            SufferagePass.from_contest(
+                index, commits, (tasks, machines), pending, chosen, earliest, sufferage
+            )
+        )
+        ready[taken] = starts[begin:end] + values[held, taken]
+        pending = np.setdiff1d(pending, held, assume_unique=True)
+        begin = end
+    return passes
 
 
 def _emit_pass(tracer, record: SufferagePass) -> None:

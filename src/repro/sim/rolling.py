@@ -489,10 +489,11 @@ class RollingSimulation:
                 result = scheduler.run(
                     sub, ready_times=ready, max_iterations=self.refine_iterations
                 )
-                for assignment in result.final_mapping().assignments:
-                    executor.dispatch(
-                        int(assignment.task[1:]), int(assignment.machine[1:])
-                    )
+                # The final mapping commits in task row order: row k is
+                # batch[k], and column j is machine live[j].
+                columns = result.final_mapping().assignment_vector().tolist()
+                for idx, col in zip(batch, columns):
+                    executor.dispatch(idx, live[col])
 
         executor = QueueExecutor(
             machines, "t{}".format, total,

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.iterative import IterativeScheduler
-from repro.core.schedule import Assignment, Mapping
+from repro.core.schedule import Mapping
 from repro.core.validation import validate_iterative_result, validate_mapping
 from repro.etc.generation import generate_range_based
 from repro.exceptions import MappingError
@@ -25,26 +25,27 @@ class TestValidateMapping:
     def test_detects_tampered_completion(self, tiny_etc):
         m = Mapping(tiny_etc)
         m.assign("a", "x")
-        bad = Assignment(task="b", machine="y", start=0.0, completion=99.0, order=1)
-        m._assignments.append(bad)
-        m._by_task["b"] = bad
+        m.assign("b", "y")
+        first, second = m.assignments
+        # Records are cached until the next commit; corrupt the cache.
+        m._records = (first, dataclasses.replace(second, completion=99.0))
         with pytest.raises(MappingError):
             validate_mapping(m)
 
     def test_detects_wrong_start(self, tiny_etc):
         m = Mapping(tiny_etc)
         m.assign("a", "x")
-        bad = Assignment(task="b", machine="x", start=0.5, completion=3.5, order=1)
-        m._assignments.append(bad)
-        m._by_task["b"] = bad
+        m.assign("b", "x")
+        m._starts[1] = 0.5  # b's start no longer equals x's ready time
         with pytest.raises(MappingError):
             validate_mapping(m)
 
     def test_detects_duplicate_task(self, tiny_etc):
         m = Mapping(tiny_etc)
-        a = m.assign("a", "x")
-        m._assignments.append(a)
-        with pytest.raises(MappingError):
+        m.assign("a", "x")
+        m.assign("b", "y")
+        m._order[1] = m._order[0]  # commit order lists "a" twice
+        with pytest.raises(MappingError, match="more than once"):
             validate_mapping(m)
 
     def test_detects_stale_ready_cache(self, tiny_etc):

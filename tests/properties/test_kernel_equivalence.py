@@ -8,14 +8,29 @@ tie-candidate sets and tie-breaker draw order, and byte-identical
 ``repro.obs`` event streams.  Random ETCs include an integer-grid mode
 that makes genuine ties common, so the tolerance logic and the random
 policy's draw-consumption discipline are both exercised hard.
+
+Untraced deterministic runs have three paths — reference, the Python
+incremental kernels and the compiled kernels of
+:mod:`repro.heuristics.native` — and the ``test_paths_*`` batteries run
+all three, including on :func:`near_ties` inputs that sit at the tie
+tolerance's boundary.
 """
+
+import itertools
+import math
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.iterative import IterativeScheduler
-from repro.core.ties import DeterministicTieBreaker, RandomTieBreaker
+from repro.core.ties import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DeterministicTieBreaker,
+    RandomTieBreaker,
+)
 from repro.etc.matrix import ETCMatrix
 from repro.etc.witness import (
     KPB_EXAMPLE_PERCENT,
@@ -27,6 +42,7 @@ from repro.etc.witness import (
     sufferage_example_etc,
     swa_example_etc,
 )
+from repro.heuristics import native
 from repro.heuristics.kpb import KPercentBest
 from repro.heuristics.mct import MCT
 from repro.heuristics.minmin import Duplex, MaxMin, MinMin
@@ -134,6 +150,53 @@ def contest_heavy(draw):
         )
     )
     return ETCMatrix([sorted(distinct[i]) for i in picks]), ready
+
+
+@st.composite
+def near_ties(draw):
+    """An ETC up to 10 x 5 plus ready times at the tie tolerance's edge.
+
+    Every ETC value is ``scale + step`` and every ready time a ``step``,
+    where the steps are 0, 0.5x, 0.9x, 1x, 1.8x and 2x the tolerance
+    ``max(abs_tol, rel_tol * scale)`` and 1 ulp either side of it.  The
+    0.9x and 1.8x steps make non-transitive chains (a ~ b, b ~ c, a !~ c);
+    ``scale`` spans 1e-3, where the absolute and relative terms cross.  At
+    the absolute tolerance's own scale the sums are exact, so differences
+    land exactly on the tolerance and 1 ulp either side of it.
+    """
+    scale = draw(
+        st.sampled_from(
+            [DEFAULT_ABS_TOL, 3 * DEFAULT_ABS_TOL, 1e-4, 1e-3, 2e-3, 1.0, 7.0, 1e3, 1e6]
+        )
+    )
+    tol = max(DEFAULT_ABS_TOL, DEFAULT_REL_TOL * scale)
+    step = st.sampled_from(
+        [
+            0.0,
+            0.5 * tol,
+            0.9 * tol,
+            tol,
+            math.nextafter(tol, 0.0),
+            math.nextafter(tol, math.inf),
+            1.8 * tol,
+            2.0 * tol,
+        ]
+    )
+    num_machines = draw(st.integers(1, 5))
+    num_tasks = draw(st.integers(1, 10))
+    values = draw(
+        st.lists(
+            st.lists(
+                step.map(lambda s: scale + s),
+                min_size=num_machines,
+                max_size=num_machines,
+            ),
+            min_size=num_tasks,
+            max_size=num_tasks,
+        )
+    )
+    ready = draw(st.lists(step, min_size=num_machines, max_size=num_machines))
+    return ETCMatrix(values), ready
 
 
 def _inputs(name):
@@ -292,3 +355,109 @@ def test_sufferage_last_trace_identical(data):
                 [(p.index, p.decisions, p.committed) for p in heuristic.last_trace]
             )
         assert traces[0] == traces[1], policy
+
+
+#: The three untraced deterministic paths.
+PATHS = ("reference", "python", "compiled")
+
+#: Heuristics of the three-path batteries (Duplex rides on Min-Min and
+#: Max-Min).
+PATH_FACTORIES = {name: FACTORIES[name] for name in FACTORIES if name != "duplex"}
+
+
+def _on_path(path):
+    """``(incremental, context)`` running ``path``."""
+    if path == "reference":
+        return False, nullcontext()
+    if path == "python":
+        return True, native.python_kernels()
+    return True, nullcontext()
+
+
+def _mapped_on(path, factory, etc, ready):
+    incremental, context = _on_path(path)
+    heuristic = factory(incremental=incremental)
+    with context:
+        mapping = heuristic.map_tasks(etc, list(ready), DeterministicTieBreaker())
+    return (
+        [
+            (a.task, a.machine, a.start, a.completion, a.order)
+            for a in mapping.assignments
+        ],
+        mapping.makespan(),
+        getattr(heuristic, "last_trace", None),
+    )
+
+
+def _iterated_on(path, factory, etc, ready):
+    incremental, context = _on_path(path)
+    with context:
+        result = IterativeScheduler(factory(incremental=incremental)).run(
+            etc, list(ready)
+        )
+        final = result.final_mapping()
+    return (
+        result.makespans(),
+        result.removal_order,
+        result.final_finish_times,
+        [rec.frozen_tasks for rec in result.iterations],
+        [rec.trace for rec in result.iterations],
+        [(a.task, a.machine, a.start, a.completion) for a in final.assignments],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PATH_FACTORIES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_paths_agree(name, data):
+    """Reference, Python incremental and compiled map identically."""
+    etc, ready = data.draw(st.one_of(_inputs(name), near_ties()))
+    outcomes = [_mapped_on(path, PATH_FACTORIES[name], etc, ready) for path in PATHS]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("name", sorted(PATH_FACTORIES))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_paths_agree_iterative(name, data):
+    """The freeze/remap technique and its final mapping, on all paths."""
+    etc, ready = data.draw(st.one_of(etc_and_ready(), near_ties()))
+    outcomes = [
+        _iterated_on(path, PATH_FACTORIES[name], etc, ready) for path in PATHS
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _boundary_grid():
+    """Every 2x2 ETC over {1, 2, 3} x abs_tol with ready times in
+    {0, 1} x abs_tol, plus the 2x1 and 1x3 shapes.
+
+    At this scale the tolerance is the absolute term, and 2·tol − tol is
+    exact: completion times differ by exactly the tolerance (tied), or
+    by it ±1 ulp where a sum rounds (3·tol), in every decision a
+    kernel makes — task and machine ties, Max-Min's peak, K-Percent
+    Best's subset and Sufferage's contest.
+    """
+    unit = DEFAULT_ABS_TOL
+    levels = [unit, 2 * unit, 3 * unit]
+    for cells in itertools.product(levels, repeat=4):
+        for ready in itertools.product([0.0, unit], repeat=2):
+            yield [list(cells[:2]), list(cells[2:])], list(ready)
+    for cells in itertools.product(levels, repeat=2):
+        yield [[cells[0]], [cells[1]]], [0.0]
+    for cells in itertools.product(levels, repeat=3):
+        yield [list(cells)], [0.0, unit, 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(PATH_FACTORIES))
+def test_paths_agree_on_boundary_grid(name):
+    for values, ready in _boundary_grid():
+        etc = ETCMatrix(values)
+        outcomes = [
+            _mapped_on(path, PATH_FACTORIES[name], etc, ready) for path in PATHS
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2], (values, ready)
+        iterated = [
+            _iterated_on(path, PATH_FACTORIES[name], etc, ready) for path in PATHS
+        ]
+        assert iterated[0] == iterated[1] == iterated[2], (values, ready)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import bench
 from repro.bench import (
     SCHEMA,
     WORKLOADS,
@@ -56,6 +57,60 @@ class TestRunBench:
     def test_rejects_bad_repeats(self):
         with pytest.raises(ConfigurationError):
             run_bench(smoke=True, repeats=0, only=FAST)
+
+
+class _DriftingClock:
+    """A stand-in for the ``time`` module whose clock only moves when a
+    timed thunk runs, at half speed once ``switch`` thunks have run."""
+
+    def __init__(self, switch: int) -> None:
+        self.now = 0.0
+        self.calls = 0
+        self.switch = switch
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def work(self, seconds: float):
+        def thunk():
+            self.now += seconds * (2.0 if self.calls >= self.switch else 1.0)
+            self.calls += 1
+
+        return thunk
+
+
+class TestInterleavedTiming:
+    REPEATS = 6
+    RATIO = 3.0  # the reference thunk does 3x the optimised thunk's work
+
+    def _measure(self, monkeypatch, method) -> float:
+        # The host halves its speed halfway through the 2 x REPEATS runs.
+        clock = _DriftingClock(switch=self.REPEATS)
+        monkeypatch.setattr(bench, "time", clock)
+        return method(clock.work(1.0), clock.work(self.RATIO))
+
+    def test_blocked_ratio_moves_with_host_drift(self, monkeypatch):
+        def blocked(run, reference):
+            optimised = bench._time_thunk(run, self.REPEATS)["best_s"]
+            return bench._time_thunk(reference, self.REPEATS)["best_s"] / optimised
+
+        assert self._measure(monkeypatch, blocked) == pytest.approx(2 * self.RATIO)
+
+    def test_interleaved_ratio_does_not(self, monkeypatch):
+        def interleaved(run, reference):
+            return bench._time_pairs(run, reference, self.REPEATS)[2]
+
+        assert self._measure(monkeypatch, interleaved) == pytest.approx(self.RATIO)
+
+    def test_median_of_pair_ratios_survives_a_skewed_pair(self, monkeypatch):
+        # An odd switch point lands inside one pair; the median ignores it.
+        clock = _DriftingClock(switch=self.REPEATS + 1)
+        monkeypatch.setattr(bench, "time", clock)
+        timing, reference, speedup = bench._time_pairs(
+            clock.work(1.0), clock.work(self.RATIO), self.REPEATS
+        )
+        assert speedup == pytest.approx(self.RATIO)
+        assert len(timing["samples"]) == len(reference["samples"]) == self.REPEATS
 
 
 class TestReportIO:
@@ -120,16 +175,19 @@ class TestBenchCLI:
         assert "mct-512x32" in capsys.readouterr().out
 
     def test_baseline_pass_and_regression_exit_codes(self, tmp_path, capsys):
+        # Best of 5: one sample of a sub-millisecond run can be doubled
+        # by a single collector pause.
+        timed = [*self.BASE[:3], "5", *self.BASE[4:]]
         baseline = tmp_path / "baseline.json"
-        assert main(self.BASE + ["-o", str(baseline)]) == 0
+        assert main(timed + ["-o", str(baseline)]) == 0
         # Comparing a fresh run against itself (50% tolerance) passes.
-        assert main(self.BASE + ["--baseline", str(baseline)]) == 0
+        assert main(timed + ["--baseline", str(baseline)]) == 0
         assert "no regressions" in capsys.readouterr().out
         # An absurdly fast fabricated baseline must trip the gate.
         report = load_report(baseline)
         report["results"]["mct-512x32"]["best_s"] = 1e-12
         write_report(report, baseline)
-        assert main(self.BASE + ["--baseline", str(baseline)]) == 1
+        assert main(timed + ["--baseline", str(baseline)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
 
     def test_list_prints_every_workload(self, capsys):
